@@ -12,15 +12,17 @@ from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
                      InvalidStrategy, InvalidWitness, MalformedLasso,
                      MergeBrokeWinning, MonoidTooLarge, NotEveOnly,
                      ParseError, PositError, PreconditionViolated,
-                     SearchSpaceTooLarge, SinkVertex, UnknownLetter)
+                     SearchSpaceTooLarge, SinkVertex, UnknownLetter,
+                     WitnessRecheckFailed)
 from .gadgets import certify_nonpositional, gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
                     solve_parity, validate_strategy, verify_strategy)
 from .positionality import (Comparison, MonoidElement, PositionalityVerdict,
-                            PropertyReport, Witness1, Witness2, Witness3,
-                            check_positional, check_property1,
-                            check_property2, check_property3, compare_lassos,
+                            PriorityMonoid, PropertyReport, Witness1,
+                            Witness2, Witness3, check_positional,
+                            check_property1, check_property2,
+                            check_property3, compare_lassos,
                             generate_monoid, omega_accept, verify_order_laws,
                             witness_from_dict)
 from .reduction import (MergePlan, choose_merge, merge, path_word,
@@ -34,8 +36,9 @@ __all__ = [
     "InvalidWitness", "LassoWord", "MalformedLasso", "MergeBrokeWinning",
     "MergePlan", "MonoidElement", "MonoidTooLarge", "NotEveOnly",
     "ParseError", "PositError", "PositionalityVerdict", "PreconditionViolated",
-    "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",
-    "UnknownLetter", "Witness1", "Witness2", "Witness3",
+    "PriorityMonoid", "PropertyReport", "SearchSpaceTooLarge", "SinkVertex",
+    "Strategy", "UnknownLetter", "Witness1", "Witness2", "Witness3",
+    "WitnessRecheckFailed",
     "certify_nonpositional", "check_positional", "check_property1",
     "check_property2", "check_property3", "choose_merge", "compare_lassos",
     "complement_shift", "find_positional", "format_arena", "format_dpa",

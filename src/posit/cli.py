@@ -6,6 +6,7 @@ applicable, 2 for parse, input and resource-limit errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -258,8 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and reused: building the subparsers costs far more
+# than parsing one command line.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

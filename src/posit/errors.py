@@ -59,3 +59,7 @@ class SearchSpaceTooLarge(PositError):
 
 class PreconditionViolated(PositError):
     """An operation was called on inputs outside its documented domain."""
+
+
+class WitnessRecheckFailed(PositError):
+    """Internal check: a reported witness failed its membership re-check."""

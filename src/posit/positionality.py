@@ -21,7 +21,8 @@ from itertools import combinations
 
 from .automata import (Dpa, complement_shift, conj_nonempty_witness, member,
                        member_from, product, reachable_states)
-from .errors import InvalidWitness, MonoidTooLarge, PreconditionViolated
+from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
+                     WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 DEFAULT_MONOID_CAP = 100_000
@@ -66,32 +67,105 @@ def element_of_word(a: Dpa, word: str) -> MonoidElement:
     return out
 
 
-def generate_monoid(a: Dpa, cap: int | None = None):
-    """All (f, g) behaviours of nonempty words, shortest witnesses first."""
-    if cap is None:
-        cap = monoid_cap()
-    letters = [letter_element(a, c) for c in a.alphabet]
-    out = {}
-    frontier = []
-    for el in letters:
-        key = (el.f, el.g)
-        if key not in out:
-            out[key] = el
-            frontier.append(el)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for el in letters:
-                comp = compose(m, el)
-                key = (comp.f, comp.g)
-                if key not in out:
-                    out[key] = comp
-                    nxt.append(comp)
-                    if len(out) > cap:
+class PriorityMonoid:
+    """The priority monoid of an automaton, elements indexed by integers.
+
+    Elements are numbered in breadth-first generation order, letters
+    first, so every element's shortest witness word (first in alphabet
+    order among those) is the witness of parent[i] followed by letter
+    last[i]; a letter has parent -1.  right[i][c] is the element reached
+    by appending the c-th letter to element i, and bit p of accepting[i]
+    is set when the omega-power of element i is accepted from state p.
+    """
+
+    def __init__(self, a: Dpa, cap: int | None = None):
+        if cap is None:
+            cap = monoid_cap()
+        self.letters = a.alphabet.letters
+        n = a.n
+        # Each element is a tuple of n codes: code t * base + g stands for
+        # "ends in state t, minimum priority g on the way".
+        base = 1 + max(pri for row in a.delta for _, pri in row.values())
+        letter_keys, steps = [], []
+        for c in self.letters:
+            moves = [a.delta[t][c] for t in range(n)]
+            letter_keys.append(tuple(t * base + pri for t, pri in moves))
+            # steps[c][code]: the code after appending letter c
+            steps.append(tuple(moves[t][0] * base + min(g, moves[t][1])
+                               for t in range(n) for g in range(base)))
+        codes, parent, last, ids = [], [], [], {}
+        for ci, key in enumerate(letter_keys):
+            if key not in ids:
+                ids[key] = len(codes)
+                codes.append(key)
+                parent.append(-1)
+                last.append(ci)
+        right = []
+        for i, key in enumerate(codes):        # grows while iterated: BFS
+            row = []
+            for ci, step in enumerate(steps):
+                nxt = tuple(map(step.__getitem__, key))
+                j = ids.get(nxt)
+                if j is None:
+                    j = ids[nxt] = len(codes)
+                    codes.append(nxt)
+                    parent.append(i)
+                    last.append(ci)
+                    if len(codes) > cap:
                         raise MonoidTooLarge(
                             "priority monoid exceeds %d elements" % cap)
-        frontier = nxt
-    return list(out.values())
+                row.append(j)
+            right.append(row)
+        self.base = base
+        self.codes = codes
+        self.parent = parent
+        self.last = last
+        self.right = right
+        self.accepting = [_omega_mask(key, base) for key in codes]
+
+    def target(self, i: int, p: int) -> int:
+        """The state element i leads p to."""
+        return self.codes[i][p] // self.base
+
+    def witness(self, i: int) -> str:
+        letters = []
+        while i >= 0:
+            letters.append(self.letters[self.last[i]])
+            i = self.parent[i]
+        return "".join(reversed(letters))
+
+    def elements(self) -> list:
+        return [MonoidElement(tuple(c // self.base for c in key),
+                              tuple(c % self.base for c in key),
+                              self.witness(i))
+                for i, key in enumerate(self.codes)]
+
+
+def _omega_mask(key: tuple, base: int) -> int:
+    """Bit p set iff the omega-power of the element `key` is accepted
+    from p: the least priority on the cycle p falls into is even."""
+    n = len(key)
+    verdict = [None] * n
+    mask = 0
+    for p in range(n):
+        if verdict[p] is None:
+            path, pos, q = [], {}, p
+            while verdict[q] is None and q not in pos:
+                pos[q] = len(path)
+                path.append(q)
+                q = key[q] // base
+            ok = (verdict[q] if verdict[q] is not None else
+                  min(key[s] % base for s in path[pos[q]:]) % 2 == 0)
+            for s in path:
+                verdict[s] = ok
+        if verdict[p]:
+            mask |= 1 << p
+    return mask
+
+
+def generate_monoid(a: Dpa, cap: int | None = None):
+    """All (f, g) behaviours of nonempty words, shortest witnesses first."""
+    return PriorityMonoid(a, cap).elements()
 
 
 def omega_accept(a: Dpa, m: MonoidElement, p: int) -> bool:
@@ -212,6 +286,18 @@ def _return_word(a: Dpa):
     return best
 
 
+def _recheck(a: Dpa, witness, accepted, rejected) -> None:
+    """Re-check a witness by membership: every lasso in `accepted` must
+    be a member, none in `rejected`.  Raised, not asserted, so the check
+    also runs under python -O."""
+    for lasso, expected in ([(w, True) for w in accepted]
+                            + [(w, False) for w in rejected]):
+        if member(a, lasso) != expected:
+            raise WitnessRecheckFailed(
+                "%r: membership of %s is %s, the witness needs %s"
+                % (witness, lasso, not expected, expected))
+
+
 def check_property1(a: Dpa) -> PropertyReport:
     """Residual languages must be totally preordered by inclusion."""
     access = reachable_states(a)
@@ -247,17 +333,19 @@ def check_property1(a: Dpa) -> PropertyReport:
     if chosen is None:
         p, q, w, wp = failing[0]
         chosen = Witness1(access[p], access[q], w, wp)
-    assert member(a, prepend(chosen.u, chosen.w))
-    assert member(a, prepend(chosen.up, chosen.wp))
-    assert not member(a, prepend(chosen.u, chosen.wp))
-    assert not member(a, prepend(chosen.up, chosen.w))
+    _recheck(a, chosen, accepted=(prepend(chosen.u, chosen.w),
+                                  prepend(chosen.up, chosen.wp)),
+             rejected=(prepend(chosen.u, chosen.wp),
+                       prepend(chosen.up, chosen.w)))
     return PropertyReport(False, chosen)
 
 
-def check_property2(a: Dpa, cap: int | None = None) -> PropertyReport:
+def check_property2(a: Dpa, cap: int | None = None,
+                    monoid: PriorityMonoid | None = None) -> PropertyReport:
     """If u v w is accepted then u v^omega or u w must be."""
     access = reachable_states(a)
-    monoid = generate_monoid(a, cap)
+    if monoid is None:
+        monoid = PriorityMonoid(a, cap)
     g = product(a, complement_shift(a))
     cache = {}
 
@@ -267,45 +355,85 @@ def check_property2(a: Dpa, cap: int | None = None) -> PropertyReport:
         return cache[(frm, into)]
 
     for p in sorted(access):
-        for m in monoid:
-            if omega_accept(a, m, p):
+        bit = 1 << p
+        for i, mask in enumerate(monoid.accepting):
+            if mask & bit:
                 continue
-            q = m.f[p]
-            w = witness_against(q, p)
+            w = witness_against(monoid.target(i, p), p)
             if w is None:
                 continue
-            found = Witness2(access[p], m.witness, w)
-            assert member(a, prepend(found.u + found.v, found.w))
-            assert not member(a, LassoWord(found.u, found.v))
-            assert not member(a, prepend(found.u, found.w))
+            found = Witness2(access[p], monoid.witness(i), w)
+            _recheck(a, found, accepted=(prepend(found.u + found.v, found.w),),
+                     rejected=(LassoWord(found.u, found.v),
+                               prepend(found.u, found.w)))
             return PropertyReport(False, found)
     return PropertyReport(True)
 
 
-def check_property3(a: Dpa, cap: int | None = None) -> PropertyReport:
+def _first_accepted_product(monoid: PriorityMonoid, reach: int):
+    """The first (p, i, j), p in `reach` lowest first, then i and j in
+    monoid order, such that the omega-powers of elements i and j are
+    rejected from p and that of their product is accepted; or None.
+
+    Row i of the product table is filled in generation order, product
+    i.j from product i.parent[j] and the right Cayley table, so each
+    pair costs a few integer operations.
+    """
+    acc = monoid.accepting
+    rej = [~mask for mask in acc]
+    links = list(zip(monoid.parent, monoid.last))
+    right = monoid.right
+    row = [0] * len(acc)
+    best = None
+    for i, right_i in enumerate(right):
+        open_ = reach & rej[i]
+        if not open_:
+            continue
+        for j, (par, c) in enumerate(links):
+            r = row[j] = right_i[c] if par < 0 else right[row[par]][c]
+            bits = open_ & rej[j] & acc[r]
+            if bits:
+                p = (bits & -bits).bit_length() - 1
+                best = (p, i, j)
+                # Only a lower start state can still come first.
+                reach &= (1 << p) - 1
+                open_ &= reach
+                if not open_:
+                    break
+        if not reach:
+            break
+    return best
+
+
+def check_property3(a: Dpa, cap: int | None = None,
+                    monoid: PriorityMonoid | None = None) -> PropertyReport:
     """If u (v v')^omega is accepted then u v^omega or u v'^omega must be."""
     access = reachable_states(a)
-    monoid = generate_monoid(a, cap)
-    for p in sorted(access):
-        rejecting = [m for m in monoid if not omega_accept(a, m, p)]
-        for m in rejecting:
-            for m2 in rejecting:
-                if not omega_accept(a, compose(m, m2), p):
-                    continue
-                found = Witness3(access[p], m.witness, m2.witness)
-                assert member(a, LassoWord(found.u, found.v + found.vp))
-                assert not member(a, LassoWord(found.u, found.v))
-                assert not member(a, LassoWord(found.u, found.vp))
-                return PropertyReport(False, found)
-    return PropertyReport(True)
+    if monoid is None:
+        monoid = PriorityMonoid(a, cap)
+    first = _first_accepted_product(monoid, sum(1 << p for p in access))
+    if first is None:
+        return PropertyReport(True)
+    p, i, j = first
+    found = Witness3(access[p], monoid.witness(i), monoid.witness(j))
+    _recheck(a, found, accepted=(LassoWord(found.u, found.v + found.vp),),
+             rejected=(LassoWord(found.u, found.v),
+                       LassoWord(found.u, found.vp)))
+    return PropertyReport(False, found)
 
 
 def check_positional(a: Dpa, cap: int | None = None) -> PositionalityVerdict:
-    """First failing property wins; all passing means positional."""
-    for number, check in ((1, check_property1),
-                          (2, lambda x: check_property2(x, cap)),
-                          (3, lambda x: check_property3(x, cap))):
-        report = check(a)
+    """First failing property wins; all passing means positional.
+
+    Properties 2 and 3 share one priority monoid, generated only once
+    property 1 holds.
+    """
+    report = check_property1(a)
+    if not report.passed:
+        return PositionalityVerdict(False, 1, report.witness)
+    monoid = PriorityMonoid(a, cap)
+    for number, check in ((2, check_property2), (3, check_property3)):
+        report = check(a, monoid=monoid)
         if not report.passed:
             return PositionalityVerdict(False, number, report.witness)
     return PositionalityVerdict(True)

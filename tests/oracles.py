@@ -10,8 +10,12 @@ written out again by hand so a typo in either copy shows up.
 import random
 from itertools import product
 
-from posit import (LassoWord, Witness1, Witness2, Witness3, member_from,
-                   prepend, reachable_states)
+from posit import (Alphabet, Dpa, LassoWord, PropertyReport, Witness1,
+                   Witness2, Witness3, complement_shift, generate_monoid,
+                   member_from, omega_accept, prepend, reachable_states)
+from posit.automata import conj_nonempty_witness
+from posit.automata import product as automaton_product
+from posit.positionality import compose
 
 EVE = "E"
 
@@ -217,6 +221,59 @@ def brute_property3(a, max_u, max_v):
         for v, vp in bad.get(_advance(a, a.initial, u), ()):
             out.append((u, v, vp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# properties 2 and 3 by the plain loops over the monoid element list:
+# omega_accept per element and start state, compose per pair
+
+def ref_property2(a, cap=None):
+    access = reachable_states(a)
+    monoid = generate_monoid(a, cap)
+    g = automaton_product(a, complement_shift(a))
+    cache = {}
+    for p in sorted(access):
+        for m in monoid:
+            if omega_accept(a, m, p):
+                continue
+            q = m.f[p]
+            if (q, p) not in cache:
+                cache[q, p] = conj_nonempty_witness(g, (q, p))
+            if cache[q, p] is not None:
+                return PropertyReport(
+                    False, Witness2(access[p], m.witness, cache[q, p]))
+    return PropertyReport(True)
+
+
+def ref_property3(a, cap=None):
+    access = reachable_states(a)
+    monoid = generate_monoid(a, cap)
+    for p in sorted(access):
+        rejecting = [m for m in monoid if not omega_accept(a, m, p)]
+        for m in rejecting:
+            for m2 in rejecting:
+                if omega_accept(a, compose(m, m2), p):
+                    return PropertyReport(
+                        False, Witness3(access[p], m.witness, m2.witness))
+    return PropertyReport(True)
+
+
+def random_dpa(rng, max_states=3, max_letters=3, max_priority=3):
+    """A complete DPA with 1..max_states states and 2..max_letters letters."""
+    n = rng.randint(1, max_states)
+    letters = "abc"[:rng.randint(2, max_letters)]
+    delta = [{c: (rng.randrange(n), rng.randint(0, max_priority))
+              for c in letters} for _ in range(n)]
+    return Dpa(Alphabet(letters), [str(q) for q in range(n)], 0, delta)
+
+
+def perm_parity(n):
+    """a rotates the n states, b swaps states 0 and 1, c loops; priorities
+    1, 2, 3 by letter, so the condition is a parity condition on letters
+    and positional, while the monoid grows roughly as n!."""
+    delta = [{"a": ((q + 1) % n, 1), "b": ({0: 1, 1: 0}.get(q, q), 2),
+              "c": (q, 3)} for q in range(n)]
+    return Dpa(Alphabet("abc"), [str(q) for q in range(n)], 0, delta)
 
 
 def certify_witness(a, wit) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from posit import cli
 from posit.cli import main
 from posit.fixtures import fixture_path
 from posit.games import parse_arena
@@ -9,6 +10,16 @@ from posit.games import parse_arena
 
 def run(capsys, *argv):
     rc = main(list(argv))
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of main, argparse exits included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -202,3 +213,32 @@ class TestFixturesCommand:
         rc, _, err = run(capsys, "fixtures", "nope")
         assert rc == 2
         assert err.startswith("error:")
+
+
+class TestParserReuse:
+    SESSION = (
+        ("check", "{ex3}"),
+        ("check",),                              # argparse error, exit 2
+        ("check", "--json", "{w2}"),
+        ("member", "{ex3}", "ab:ba"),
+        ("frobnicate",),                         # argparse error, exit 2
+        ("include", "{res}", "A", "B"),
+        ("compare", "{res}", ":b", ":c"),
+        ("fixtures", "nope"),
+        ("check", "{onea}"),
+    )
+
+    def test_session_matches_fresh_parsers(self, capsys, monkeypatch):
+        """One process, many commands: the parser built once gives what a
+        parser built per call gives, byte for byte."""
+        argvs = [[arg.format(ex3=fixture_path("ex3"), w2=fixture_path("w2"),
+                             res=fixture_path("res"),
+                             onea=fixture_path("onea")) for arg in argv]
+                 for argv in self.SESSION]
+        reused = [run_or_exit(capsys, argv) for argv in argvs]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_or_exit(capsys, argv) for argv in argvs]
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [0, 2, 1, 1, 2, 1, 1, 2, 1]
+        assert reused[1][2].startswith("usage: posit check")

@@ -1,17 +1,26 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import posit
 from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
-                   PreconditionViolated, Witness1, Witness2, Witness3,
-                   check_positional, check_property1, check_property2,
-                   check_property3, compare_lassos, generate_monoid,
-                   member_from, omega_accept, reachable_states,
-                   verify_order_laws, witness_from_dict)
+                   PreconditionViolated, PriorityMonoid, Witness1, Witness2,
+                   Witness3, WitnessRecheckFailed, check_positional,
+                   check_property1, check_property2, check_property3,
+                   compare_lassos, generate_monoid, member, member_from,
+                   omega_accept, reachable_states, verify_order_laws,
+                   witness_from_dict)
+from posit import positionality
 from posit.positionality import compose, element_of_word, letter_element
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
-                     certify_witness, lassos_up_to, word_behavior,
-                     words_up_to)
+                     certify_witness, lassos_up_to, perm_parity, random_dpa,
+                     ref_property2, ref_property3, word_behavior, words_up_to)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 
@@ -87,6 +96,24 @@ class TestMonoid:
         with pytest.raises(PreconditionViolated):
             element_of_word(load_dpa("onea"), "")
 
+    @pytest.mark.parametrize("name", DPA_NAMES)
+    def test_cayley_table_and_masks(self, name):
+        a = load_dpa(name)
+        monoid = PriorityMonoid(a)
+        elements = generate_monoid(a)
+        ids = {(m.f, m.g): i for i, m in enumerate(elements)}
+        assert len(monoid.codes) == len(elements)
+        for i, m in enumerate(elements):
+            assert monoid.witness(i) == m.witness
+            for c in a.alphabet:
+                comp = compose(m, letter_element(a, c))
+                assert (monoid.right[i][a.alphabet.index(c)]
+                        == ids[comp.f, comp.g])
+            for p in range(a.n):
+                assert monoid.target(i, p) == m.f[p]
+                assert (bool(monoid.accepting[i] >> p & 1)
+                        == omega_accept(a, m, p))
+
 
 class TestOmegaAccept:
     @pytest.mark.parametrize("name", DPA_NAMES)
@@ -138,6 +165,77 @@ class TestProperties:
             assert not verdict.positional
             assert verdict.failed_property == number
             assert verdict.witness == witness
+
+
+class TestIndexedMonoid:
+    """Properties 2 and 3 over the indexed monoid against the plain loops
+    over the element list."""
+
+    @pytest.mark.parametrize("name", DPA_NAMES)
+    def test_fixtures_match_reference(self, name):
+        a = load_dpa(name)
+        assert check_property2(a) == ref_property2(a)
+        assert check_property3(a) == ref_property3(a)
+
+    def test_random_automata_match_reference(self):
+        rng = random.Random(2)
+        refuted = [0, 0]
+        for _ in range(1000):
+            a = random_dpa(rng)
+            report2, report3 = check_property2(a), check_property3(a)
+            assert report2 == ref_property2(a)
+            assert report3 == ref_property3(a)
+            refuted[0] += not report2.passed
+            refuted[1] += not report3.passed
+        # both outcomes occur often enough for the comparison to bite
+        assert min(refuted) > 100 and max(refuted) < 900
+
+    def test_one_monoid_per_check(self, monkeypatch):
+        built = []
+
+        class Counting(PriorityMonoid):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(positionality, "PriorityMonoid", Counting)
+        # w2 passes property 2 and fails property 3, so both ran
+        assert check_positional(load_dpa("w2")).failed_property == 3
+        assert len(built) == 1
+
+    def test_perm_parity_6_is_positional(self):
+        assert check_positional(perm_parity(6)).positional
+
+    def test_cap_still_applies(self):
+        with pytest.raises(MonoidTooLarge):
+            check_positional(load_dpa("w2"), cap=3)
+
+
+class TestWitnessRecheck:
+    @pytest.mark.parametrize("name, check", [("res", check_property1),
+                                             ("onea", check_property2),
+                                             ("infab", check_property3)])
+    def test_lying_membership_is_caught(self, monkeypatch, name, check):
+        monkeypatch.setattr(positionality, "member",
+                            lambda a, w: not member(a, w))
+        with pytest.raises(WitnessRecheckFailed):
+            check(load_dpa(name))
+
+    def test_runs_under_optimize(self):
+        code = "\n".join((
+            "import posit.positionality as P",
+            "from posit.fixtures import load_dpa",
+            "P.member = lambda a, w: False",
+            "try:",
+            "    P.check_positional(load_dpa('onea'))",
+            "except P.WitnessRecheckFailed:",
+            "    print('raised', __debug__)",
+        ))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(posit.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "raised False\n"
 
 
 class TestCompare:
