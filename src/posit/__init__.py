@@ -6,8 +6,8 @@ finite-memory winning strategies to positional ones when it does.
 """
 
 from .automata import (Dpa, complement_shift, format_dpa, member,
-                       member_from, parse_dpa, product, reachable_states,
-                       residual_included, run_finite)
+                       member_from, parse_dpa, reachable_states,
+                       residual_graph, residual_included, run_finite)
 from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
                      InvalidStrategy, InvalidWitness, MalformedLasso,
                      MergeBrokeWinning, MonoidTooLarge, NotEveOnly,
@@ -44,8 +44,8 @@ __all__ = [
     "complement_shift", "find_positional", "format_arena", "format_dpa",
     "gadget_from_witness", "generate_monoid", "lasso_equal", "member",
     "member_from", "merge", "normalize", "omega_accept", "parse_arena",
-    "parse_dpa", "parse_lasso", "path_word", "prepend", "product",
-    "random_arena", "reachable_states", "reduce_to_positional",
+    "parse_dpa", "parse_lasso", "path_word", "prepend", "random_arena",
+    "reachable_states", "reduce_to_positional", "residual_graph",
     "residual_included", "run_finite", "solve_game", "solve_parity",
     "unique_path_lasso", "unroll", "validate_strategy", "verify_order_laws",
     "verify_strategy", "witness_from_dict",

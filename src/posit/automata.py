@@ -12,12 +12,16 @@ is therefore a parity shift.  The text format is line based:
 
 Comments start with '#'; priorities are bounded by MAX_PRIORITY in
 files (shifted internal copies may exceed it).
+
+Residual inclusion is read off one graph, the product of an automaton
+with its complement (`residual_graph`): L(p) is not included in L(q)
+iff an accepting cycle is reachable from the pair (p, q).
 """
 
 from collections import deque
 
 from .cycles import accepting_lasso_from
-from .errors import AlphabetMismatch, ParseError, UnknownLetter
+from .errors import ParseError, PreconditionViolated, UnknownLetter
 from .words import Alphabet, LassoWord
 
 MAX_PRIORITY = 16
@@ -214,49 +218,36 @@ def complement_shift(a: Dpa) -> Dpa:
     return Dpa(a.alphabet, a.names, a.initial, delta)
 
 
-class ProductGraph:
-    """Synchronous product of two automata over a shared alphabet.
+def residual_graph(a: Dpa):
+    """The product of `a` with its complement, as a cycles.py graph.
 
-    Nodes are state-id pairs; each edge carries the priority pair of the
-    component transitions.
+    Node (p, q) pairs a state of `a` with one of the complement; each
+    edge carries the priority pair of the two transitions.  A lasso is
+    accepted by both coordinates from (p, q) iff it is accepted from p
+    and rejected from q, so the nodes reaching an accepting cycle are
+    exactly the pairs with L(p) not included in L(q).
     """
-
-    def __init__(self, a1: Dpa, a2: Dpa):
-        if a1.alphabet != a2.alphabet:
-            raise AlphabetMismatch("product components use different alphabets")
-        self.a1 = a1
-        self.a2 = a2
-        self.graph = {}
-        for p in range(a1.n):
-            for q in range(a2.n):
-                edges = []
-                for c in a1.alphabet:
-                    t1, pri1 = a1.delta[p][c]
-                    t2, pri2 = a2.delta[q][c]
-                    edges.append((c, (t1, t2), (pri1, pri2)))
-                self.graph[(p, q)] = edges
-
-    @property
-    def vertices(self):
-        return list(self.graph)
-
-
-def product(a1: Dpa, a2: Dpa) -> ProductGraph:
-    return ProductGraph(a1, a2)
-
-
-def conj_nonempty_witness(g: ProductGraph, start) -> LassoWord | None:
-    """A lasso accepted by both components from `start`, or None."""
-    if start not in g.graph:
-        raise ParseError("start %r is not a product state" % (start,))
-    return accepting_lasso_from(g.graph, start)
+    graph = {}
+    for p in range(a.n):
+        for q in range(a.n):
+            edges = []
+            for c in a.alphabet:
+                t1, pri1 = a.delta[p][c]
+                t2, pri2 = a.delta[q][c]
+                # the complement_shift priority on the second coordinate
+                edges.append((c, (t1, t2), (pri1, pri2 + 1)))
+            graph[(p, q)] = edges
+    return graph
 
 
 def residual_included(a: Dpa, p: int, q: int) -> LassoWord | None:
     """None if every lasso accepted from p is accepted from q, else a
     counterexample accepted from p and rejected from q."""
-    g = product(a, complement_shift(a))
-    return conj_nonempty_witness(g, (p, q))
+    for state in (p, q):
+        if state not in range(a.n):
+            raise PreconditionViolated(
+                "%r is not a state id of %r" % (state, a))
+    return accepting_lasso_from(residual_graph(a), (p, q))
 
 
 def reachable_states(a: Dpa):

@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the query holds (positional, member, included,
 certified), 1 when it is refuted or the requested reduction is not
-applicable, 2 for parse, input and resource-limit errors.
+applicable, 2 for parse, input and resource-limit errors.  A witness
+that fails its own membership re-check (WitnessRecheckFailed) is an
+internal error, not an input error: it propagates like any other bug.
 """
 
 import argparse
@@ -13,7 +15,8 @@ from pathlib import Path
 
 from .automata import member, parse_dpa, residual_included
 from .errors import (IncomparableLassos, MergeBrokeWinning, NotEveOnly,
-                     PositError, PreconditionViolated, SinkVertex)
+                     PositError, PreconditionViolated, SinkVertex,
+                     WitnessRecheckFailed)
 from .fixtures import data_dir, fixture_path
 from .gadgets import gadget_from_witness
 from .games import (EVE, Game, find_positional, format_arena, parse_arena,
@@ -268,6 +271,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except WitnessRecheckFailed:
+        raise
     except _DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

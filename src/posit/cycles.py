@@ -12,6 +12,7 @@ coordinate minima, hence is accepting in every coordinate.
 
 from collections import deque
 from itertools import product as iproduct
+from operator import ge
 
 from .words import LassoWord
 
@@ -65,26 +66,16 @@ def tarjan_scc(order, succ):
 
 
 def _threshold_axes(graph, nodes=None):
-    lo = hi = None
-    for v, edges in graph.items():
-        if nodes is not None and v not in nodes:
-            continue
-        for _c, _d, pris in edges:
-            if lo is None:
-                lo = list(pris)
-                hi = list(pris)
-            else:
-                for i, p in enumerate(pris):
-                    lo[i] = min(lo[i], p)
-                    hi[i] = max(hi[i], p)
-    if lo is None:
+    """Per coordinate, the even priorities on the edges, ascending.
+
+    Only these can be met exactly by a cycle, so other thresholds are
+    never tried.  None when some coordinate has no even priority.
+    """
+    pris = [p for v, edges in graph.items() if nodes is None or v in nodes
+            for _c, _d, p in edges]
+    axes = [sorted({p for p in column if p % 2 == 0}) for column in zip(*pris)]
+    if not axes or not all(axes):
         return None
-    axes = []
-    for i in range(len(lo)):
-        evens = [d for d in range(lo[i], hi[i] + 1) if d % 2 == 0]
-        if not evens:
-            return None
-        axes.append(evens)
     return axes
 
 
@@ -99,7 +90,7 @@ def _qualifies(comp, graph, threshold):
     exact = [False] * len(threshold)
     for v in comp:
         for c, d, pris in graph.get(v, ()):
-            if d in compset and all(p >= t for p, t in zip(pris, threshold)):
+            if d in compset and all(map(ge, pris, threshold)):
                 internal.append((v, c, d, pris))
                 for i, t in enumerate(threshold):
                     if pris[i] == t:
@@ -119,7 +110,7 @@ def _path_among(graph, allowed, threshold, frm, to):
     while queue:
         v = queue.popleft()
         for c, d, pris in graph.get(v, ()):
-            if d in allowed and d not in parent and all(p >= t for p, t in zip(pris, threshold)):
+            if d in allowed and d not in parent and all(map(ge, pris, threshold)):
                 parent[d] = (v, c, pris)
                 if d == to:
                     out = []
@@ -159,7 +150,7 @@ def accepting_lasso_from(graph, start):
     for threshold in iproduct(*axes):
         def succ(v, t=threshold):
             return [d for c, d, pris in graph.get(v, ())
-                    if d in reach and all(p >= x for p, x in zip(pris, t))]
+                    if d in reach and all(map(ge, pris, t))]
         comps = tarjan_scc(order, succ)
         for comp in comps:
             comp = sorted(comp, key=pos.get)
@@ -214,7 +205,7 @@ def nodes_reaching_accepting_cycle(graph):
     for threshold in iproduct(*axes):
         def succ(v, t=threshold):
             return [d for c, d, pris in graph.get(v, ())
-                    if all(p >= x for p, x in zip(pris, t))]
+                    if all(map(ge, pris, t))]
         for comp in tarjan_scc(order, succ):
             if not cores.issuperset(comp) and _qualifies(comp, graph, threshold):
                 cores.update(comp)

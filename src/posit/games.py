@@ -6,6 +6,12 @@ over the same alphabet; a play is winning for Eve iff the sequence of
 letters it produces is accepted.  Strategies are letter-labelled graphs
 mapped onto the arena: memory states refine arena vertices, so the
 number of memory states per vertex bounds the memory needed.
+
+Two products with the condition are built here: the arena with the
+automaton, a parity game that Zielonka's algorithm solves
+(`product_game`), and a strategy with the complement automaton, whose
+reachable accepting cycles are the plays the strategy loses
+(`verify_strategy`, which `find_positional` uses for each candidate).
 """
 
 from collections import deque
@@ -437,7 +443,8 @@ def find_positional(g: Game, v0, cap: int = 10 ** 6):
     """Smallest-index positional strategy winning from v0, or None.
 
     Enumerates Eve's choice functions in edge-list order, skipping
-    functions that agree on the part of the arena reachable from v0.
+    functions that agree on the part of the arena reachable from v0,
+    and checks each remaining one with verify_strategy.
     """
     arena = g.arena
     if v0 not in arena.owners:
@@ -448,7 +455,6 @@ def find_positional(g: Game, v0, cap: int = 10 ** 6):
     if total > cap:
         raise SearchSpaceTooLarge(
             "%d positional strategies exceed the cap of %d" % (total, cap))
-    comp = complement_shift(g.condition)
     seen_signatures = set()
     for combo in iproduct(*(range(d) for d in degrees)):
         choice = dict(zip(eve_vertices, combo))
@@ -471,33 +477,12 @@ def find_positional(g: Game, v0, cap: int = 10 ** 6):
         if signature in seen_signatures:
             continue
         seen_signatures.add(signature)
-
-        graph = {}
-        root = (v0, comp.initial)
-        queue = deque([root])
-        graph[root] = None
-        while queue:
-            node = queue.popleft()
-            if graph[node] is not None:
-                continue
-            v, q = node
-            out = []
-            for letter, dst in moves(v):
-                q2, pri = comp.step(q, letter)
-                nxt = (dst, q2)
-                out.append((letter, nxt, (pri,)))
-                if nxt not in graph:
-                    graph[nxt] = None
-                    queue.append(nxt)
-            graph[node] = out
-        if root in nodes_reaching_accepting_cycle(graph):
-            continue
-        edges = []
-        for v in arena.owners:
-            for letter, dst in moves(v):
-                edges.append((v, letter, dst))
-        return Strategy(tuple(arena.owners), edges,
-                        {v: v for v in arena.owners})
+        edges = [(v, letter, dst) for v in arena.owners
+                 for letter, dst in moves(v)]
+        strategy = Strategy(tuple(arena.owners), edges,
+                            {v: v for v in arena.owners})
+        if verify_strategy(g, strategy, [v0]):
+            return strategy
     return None
 
 

@@ -19,8 +19,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .automata import (Dpa, complement_shift, conj_nonempty_witness, member,
-                       member_from, product, reachable_states)
+from .automata import (Dpa, member, member_from, reachable_states,
+                       residual_graph)
+from .cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
 from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
                      WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
@@ -299,20 +300,17 @@ def _recheck(a: Dpa, witness, accepted, rejected) -> None:
 
 
 def check_property1(a: Dpa) -> PropertyReport:
-    """Residual languages must be totally preordered by inclusion."""
+    """Residual languages must be totally preordered by inclusion.
+
+    One sweep of the residual graph gives every non-inclusion at once;
+    lassos are extracted only for the reported pair.
+    """
     access = reachable_states(a)
     states = sorted(access)
-    g = product(a, complement_shift(a))
-    failing = []
-    for i, p in enumerate(states):
-        for q in states[i + 1:]:
-            w = conj_nonempty_witness(g, (p, q))
-            if w is None:
-                continue
-            wp = conj_nonempty_witness(g, (q, p))
-            if wp is None:
-                continue
-            failing.append((p, q, w, wp))
+    g = residual_graph(a)
+    bad = nodes_reaching_accepting_cycle(g)
+    failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
+               if (p, q) in bad and (q, p) in bad]
     if not failing:
         return PropertyReport(True)
     # Prefer a pair whose access words are both nonempty so the witness
@@ -325,14 +323,15 @@ def check_property1(a: Dpa) -> PropertyReport:
             return ret
         return u
 
-    chosen = None
-    for p, q, w, wp in failing:
+    for p, q in failing:
         if u_of(p) and u_of(q):
-            chosen = Witness1(u_of(p), u_of(q), w, wp)
+            u, up = u_of(p), u_of(q)
             break
-    if chosen is None:
-        p, q, w, wp = failing[0]
-        chosen = Witness1(access[p], access[q], w, wp)
+    else:
+        p, q = failing[0]
+        u, up = access[p], access[q]
+    chosen = Witness1(u, up, accepting_lasso_from(g, (p, q)),
+                      accepting_lasso_from(g, (q, p)))
     _recheck(a, chosen, accepted=(prepend(chosen.u, chosen.w),
                                   prepend(chosen.up, chosen.wp)),
              rejected=(prepend(chosen.u, chosen.wp),
@@ -346,23 +345,18 @@ def check_property2(a: Dpa, cap: int | None = None,
     access = reachable_states(a)
     if monoid is None:
         monoid = PriorityMonoid(a, cap)
-    g = product(a, complement_shift(a))
-    cache = {}
-
-    def witness_against(frm, into):
-        if (frm, into) not in cache:
-            cache[(frm, into)] = conj_nonempty_witness(g, (frm, into))
-        return cache[(frm, into)]
-
+    g = residual_graph(a)
+    bad = nodes_reaching_accepting_cycle(g)
     for p in sorted(access):
         bit = 1 << p
         for i, mask in enumerate(monoid.accepting):
             if mask & bit:
                 continue
-            w = witness_against(monoid.target(i, p), p)
-            if w is None:
+            q = monoid.target(i, p)
+            if (q, p) not in bad:
                 continue
-            found = Witness2(access[p], monoid.witness(i), w)
+            found = Witness2(access[p], monoid.witness(i),
+                             accepting_lasso_from(g, (q, p)))
             _recheck(a, found, accepted=(prepend(found.u + found.v, found.w),),
                      rejected=(LassoWord(found.u, found.v),
                                prepend(found.u, found.w)))

@@ -13,9 +13,8 @@ from itertools import product
 from posit import (Alphabet, Dpa, LassoWord, PropertyReport, Witness1,
                    Witness2, Witness3, complement_shift, generate_monoid,
                    member_from, omega_accept, prepend, reachable_states)
-from posit.automata import conj_nonempty_witness
-from posit.automata import product as automaton_product
-from posit.positionality import compose
+from posit.cycles import accepting_lasso_from
+from posit.positionality import _return_word, compose
 
 EVE = "E"
 
@@ -224,13 +223,51 @@ def brute_property3(a, max_u, max_v):
 
 
 # ---------------------------------------------------------------------------
-# properties 2 and 3 by the plain loops over the monoid element list:
-# omega_accept per element and start state, compose per pair
+# properties 1 to 3 by the plain loops: one lasso search on the pair graph
+# per pair of states, omega_accept per monoid element and start state,
+# compose per pair of elements
+
+def pair_graph(a):
+    """A x complement_shift(A) as a cycles.py graph, from the two tables."""
+    comp = complement_shift(a)
+    graph = {}
+    for p in range(a.n):
+        for q in range(a.n):
+            graph[p, q] = [(c, (a.delta[p][c][0], comp.delta[q][c][0]),
+                            (a.delta[p][c][1], comp.delta[q][c][1]))
+                           for c in a.alphabet]
+    return graph
+
+
+def ref_property1(a):
+    access = reachable_states(a)
+    states = sorted(access)
+    g = pair_graph(a)
+    failing = []
+    for i, p in enumerate(states):
+        for q in states[i + 1:]:
+            w = accepting_lasso_from(g, (p, q))
+            wp = accepting_lasso_from(g, (q, p))
+            if w is not None and wp is not None:
+                failing.append((p, q, w, wp))
+    if not failing:
+        return PropertyReport(True)
+    ret = _return_word(a)
+
+    def u_of(state):
+        return access[state] or ret or ""
+
+    for p, q, w, wp in failing:
+        if u_of(p) and u_of(q):
+            return PropertyReport(False, Witness1(u_of(p), u_of(q), w, wp))
+    p, q, w, wp = failing[0]
+    return PropertyReport(False, Witness1(access[p], access[q], w, wp))
+
 
 def ref_property2(a, cap=None):
     access = reachable_states(a)
     monoid = generate_monoid(a, cap)
-    g = automaton_product(a, complement_shift(a))
+    g = pair_graph(a)
     cache = {}
     for p in sorted(access):
         for m in monoid:
@@ -238,7 +275,7 @@ def ref_property2(a, cap=None):
                 continue
             q = m.f[p]
             if (q, p) not in cache:
-                cache[q, p] = conj_nonempty_witness(g, (q, p))
+                cache[q, p] = accepting_lasso_from(g, (q, p))
             if cache[q, p] is not None:
                 return PropertyReport(
                     False, Witness2(access[p], m.witness, cache[q, p]))

@@ -1,10 +1,11 @@
 import pytest
 
-from posit import (AlphabetMismatch, LassoWord, ParseError, UnknownLetter,
-                   complement_shift, format_dpa, member, member_from,
-                   parse_dpa, prepend, product, reachable_states,
-                   residual_included, run_finite)
-from posit.automata import conj_nonempty_witness
+import posit
+from posit import (LassoWord, ParseError, PreconditionViolated,
+                   UnknownLetter, complement_shift, format_dpa, member,
+                   member_from, parse_dpa, prepend, reachable_states,
+                   residual_graph, residual_included, run_finite)
+from posit.cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import SEMANTICS, lassos_up_to, random_lassos, sim_member
@@ -128,40 +129,22 @@ class TestComplement:
 
 
 class TestProduct:
-    def test_vertices_and_mismatch(self):
-        a = load_dpa("buchi_a")
-        g = product(a, a)
-        assert set(g.vertices) == {(0, 0)}
-        with pytest.raises(AlphabetMismatch):
-            product(a, load_dpa("rabin"))
-
-    def test_conj_both_accepting(self):
-        a = load_dpa("buchi_a")
-        w = conj_nonempty_witness(product(a, a), (0, 0))
-        assert w == LassoWord("", "a")
-
     def test_conj_empty_intersection(self):
         a = load_dpa("buchi_a")
-        g = product(a, complement_shift(a))
-        assert conj_nonempty_witness(g, (0, 0)) is None
-
-    def test_conj_mixed_pair(self):
-        onea = load_dpa("onea")
-        buchi = load_dpa("buchi_a")
-        g = product(onea, complement_shift(buchi))
-        w = conj_nonempty_witness(g, (0, 0))
-        assert w == LassoWord("a", "b")
-        assert member(onea, w) and not member(buchi, w)
+        assert accepting_lasso_from(residual_graph(a), (0, 0)) is None
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_conj_verdicts_match_brute_enumeration(self, name):
         a = load_dpa(name)
-        g = product(a, complement_shift(a))
+        g = residual_graph(a)
+        bad = nodes_reaching_accepting_cycle(g)
         domain = lassos_up_to(a.alphabet, 2, 3)
         states = sorted(reachable_states(a))
         for p in states:
             for q in states:
-                w = conj_nonempty_witness(g, (p, q))
+                w = accepting_lasso_from(g, (p, q))
+                # the one sweep gives the same relation as the pair search
+                assert ((p, q) in bad) == (w is not None)
                 if w is not None:
                     assert member_from(a, p, w)
                     assert not member_from(a, q, w)
@@ -181,6 +164,11 @@ class TestResiduals:
         w = residual_included(a, a.state_id("A"), a.state_id("B"))
         assert w == LassoWord("", "b")
 
+    @pytest.mark.parametrize("p, q", [(0, 4), (-1, 0), (0, "A")])
+    def test_rejects_unknown_state_ids(self, p, q):
+        with pytest.raises(PreconditionViolated):
+            residual_included(load_dpa("res"), p, q)
+
     def test_reachable_states_with_access_words(self):
         a = load_dpa("res")
         access = reachable_states(a)
@@ -191,3 +179,9 @@ class TestResiduals:
         w = LassoWord("", "b")
         state, _ = run_finite(a, a.initial, "a")
         assert member(a, prepend("a", w)) == member_from(a, state, w)
+
+
+class TestExports:
+    def test_every_public_name_resolves(self):
+        for name in posit.__all__:
+            assert hasattr(posit, name), name

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from posit import cli
+from posit import WitnessRecheckFailed, cli, member, positionality
 from posit.cli import main
 from posit.fixtures import fixture_path
 from posit.games import parse_arena
@@ -45,6 +45,12 @@ class TestCheck:
         assert payload["positional"] is False
         assert payload["property"] == 2
         assert payload["witness"]["v"] == "a"
+
+    def test_failed_recheck_is_not_an_input_error(self, monkeypatch):
+        monkeypatch.setattr(positionality, "member",
+                            lambda a, w: not member(a, w))
+        with pytest.raises(WitnessRecheckFailed):
+            main(["check", fixture_path("onea")])
 
 
 class TestQueries:

@@ -20,7 +20,8 @@ from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
                      certify_witness, lassos_up_to, perm_parity, random_dpa,
-                     ref_property2, ref_property3, word_behavior, words_up_to)
+                     ref_property1, ref_property2, ref_property3,
+                     word_behavior, words_up_to)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 
@@ -168,25 +169,28 @@ class TestProperties:
 
 
 class TestIndexedMonoid:
-    """Properties 2 and 3 over the indexed monoid against the plain loops
-    over the element list."""
+    """Property 1 over one residual sweep, properties 2 and 3 over the
+    indexed monoid, against the plain per-pair and per-element loops."""
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_fixtures_match_reference(self, name):
         a = load_dpa(name)
+        assert check_property1(a) == ref_property1(a)
         assert check_property2(a) == ref_property2(a)
         assert check_property3(a) == ref_property3(a)
 
     def test_random_automata_match_reference(self):
         rng = random.Random(2)
-        refuted = [0, 0]
+        pairs = ((check_property1, ref_property1),
+                 (check_property2, ref_property2),
+                 (check_property3, ref_property3))
+        refuted = [0, 0, 0]
         for _ in range(1000):
             a = random_dpa(rng)
-            report2, report3 = check_property2(a), check_property3(a)
-            assert report2 == ref_property2(a)
-            assert report3 == ref_property3(a)
-            refuted[0] += not report2.passed
-            refuted[1] += not report3.passed
+            for k, (check, ref) in enumerate(pairs):
+                report = check(a)
+                assert report == ref(a)
+                refuted[k] += not report.passed
         # both outcomes occur often enough for the comparison to bite
         assert min(refuted) > 100 and max(refuted) < 900
 
