@@ -15,12 +15,14 @@ files (shifted internal copies may exceed it).
 
 Residual inclusion is read off one graph, the product of an automaton
 with its complement (`residual_graph`): L(p) is not included in L(q)
-iff an accepting cycle is reachable from the pair (p, q).
+iff an accepting cycle is reachable from the pair (p, q).  The graph
+holds only the pairs reachable from the ones asked about, so a single
+inclusion query explores what its pair reaches and no more.
 """
 
 from collections import deque
 
-from .cycles import accepting_lasso_from
+from .cycles import accepting_lasso_from, reachable_graph
 from .errors import ParseError, PreconditionViolated, UnknownLetter
 from .words import Alphabet, LassoWord
 
@@ -218,8 +220,9 @@ def complement_shift(a: Dpa) -> Dpa:
     return Dpa(a.alphabet, a.names, a.initial, delta)
 
 
-def residual_graph(a: Dpa):
-    """The product of `a` with its complement, as a cycles.py graph.
+def residual_graph(a: Dpa, roots):
+    """The product of `a` with its complement, as a cycles.py graph over
+    the pairs reachable from `roots`.
 
     Node (p, q) pairs a state of `a` with one of the complement; each
     edge carries the priority pair of the two transitions.  A lasso is
@@ -227,17 +230,17 @@ def residual_graph(a: Dpa):
     and rejected from q, so the nodes reaching an accepting cycle are
     exactly the pairs with L(p) not included in L(q).
     """
-    graph = {}
-    for p in range(a.n):
-        for q in range(a.n):
-            edges = []
-            for c in a.alphabet:
-                t1, pri1 = a.delta[p][c]
-                t2, pri2 = a.delta[q][c]
-                # the complement_shift priority on the second coordinate
-                edges.append((c, (t1, t2), (pri1, pri2 + 1)))
-            graph[(p, q)] = edges
-    return graph
+    def moves(node):
+        row1, row2 = a.delta[node[0]], a.delta[node[1]]
+        edges = []
+        for c in a.alphabet:
+            t1, pri1 = row1[c]
+            t2, pri2 = row2[c]
+            # the complement_shift priority on the second coordinate
+            edges.append((c, (t1, t2), (pri1, pri2 + 1)))
+        return edges
+
+    return reachable_graph(roots, moves)
 
 
 def residual_included(a: Dpa, p: int, q: int) -> LassoWord | None:
@@ -247,7 +250,7 @@ def residual_included(a: Dpa, p: int, q: int) -> LassoWord | None:
         if state not in range(a.n):
             raise PreconditionViolated(
                 "%r is not a state id of %r" % (state, a))
-    return accepting_lasso_from(residual_graph(a), (p, q))
+    return accepting_lasso_from(residual_graph(a, [(p, q)]), (p, q))
 
 
 def reachable_states(a: Dpa):

@@ -124,15 +124,21 @@ def cmd_reduce(args) -> int:
     return 0 if verified else 1
 
 
+def _certify(a, witness, arena_out=None):
+    """Build the witness's gadget game and solve it: (start vertex, does
+    Eve win from it, does she win with a positional strategy)."""
+    arena, start = gadget_from_witness(witness, a.alphabet)
+    if arena_out:
+        Path(arena_out).write_text(format_arena(arena))
+    game = Game(arena, a)
+    eve_wins = start in solve_game(game).winning_region
+    return start, eve_wins, find_positional(game, start) is not None
+
+
 def cmd_gadget(args) -> int:
     a = _load_dpa(args.dpa)
     witness = witness_from_dict(json.loads(args.witness), a.alphabet)
-    arena, start = gadget_from_witness(witness, a.alphabet)
-    if args.arena_out:
-        Path(args.arena_out).write_text(format_arena(arena))
-    game = Game(arena, a)
-    eve_wins = start in solve_game(game).winning_region
-    positional = find_positional(game, start) is not None
+    start, eve_wins, positional = _certify(a, witness, args.arena_out)
     certified = eve_wins and not positional
     print("start: %s" % start)
     print("eve wins: %s" % ("true" if eve_wins else "false"))
@@ -175,10 +181,7 @@ def cmd_selftest(args) -> int:
         print("check: not positional (property %d fails)"
               % verdict.failed_property)
         print("witness: " + json.dumps(verdict.witness.as_dict()))
-        arena, start = gadget_from_witness(verdict.witness, a.alphabet)
-        game = Game(arena, a)
-        eve_wins = start in solve_game(game).winning_region
-        positional = find_positional(game, start) is not None
+        _start, eve_wins, positional = _certify(a, verdict.witness)
         print("gadget: eve wins: %s" % ("true" if eve_wins else "false"))
         print("gadget: positional win: %s"
               % ("true" if positional else "false"))

@@ -2,7 +2,9 @@
 
 Graphs are plain dicts mapping a node to a list of (letter, successor,
 priorities) triples, where priorities is a tuple with one entry per
-acceptance coordinate.  The search enumerates even threshold tuples in
+acceptance coordinate.  Every product of a letter-labelled graph with an
+automaton is built by `reachable_graph`, from its roots and a function
+giving each node's edges.  The search enumerates even threshold tuples in
 ascending order; for each it keeps only edges at or above the thresholds,
 decomposes into strongly connected components and looks for a component
 containing, for every coordinate, an edge meeting the threshold exactly.
@@ -15,6 +17,21 @@ from itertools import product as iproduct
 from operator import ge
 
 from .words import LassoWord
+
+
+def reachable_graph(roots, moves):
+    """The nodes reachable from `roots`, in breadth-first order, each
+    mapped to `moves(node)`: the edges leaving it, each a tuple with the
+    successor second.  Repeated roots count once."""
+    graph = dict.fromkeys(roots)
+    queue = list(graph)
+    for node in queue:
+        graph[node] = edges = moves(node)
+        for edge in edges:
+            if edge[1] not in graph:
+                graph[edge[1]] = None
+                queue.append(edge[1])
+    return graph
 
 
 def tarjan_scc(order, succ):

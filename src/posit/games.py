@@ -12,6 +12,8 @@ automaton, a parity game that Zielonka's algorithm solves
 (`product_game`), and a strategy with the complement automaton, whose
 reachable accepting cycles are the plays the strategy loses
 (`verify_strategy`, which `find_positional` uses for each candidate).
+Both, and the plays of a fixed choice in `solve_game` and
+`find_positional`, are built by `cycles.reachable_graph`.
 """
 
 from collections import deque
@@ -20,8 +22,8 @@ from math import prod
 import random
 import sys
 
-from .automata import RESERVED, Dpa, complement_shift
-from .cycles import nodes_reaching_accepting_cycle
+from .automata import RESERVED, Dpa
+from .cycles import nodes_reaching_accepting_cycle, reachable_graph
 from .errors import (AlphabetMismatch, InvalidStrategy, ParseError,
                      PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
                      UnknownLetter)
@@ -138,19 +140,19 @@ class ParityGame:
 
 
 def product_game(g: Game) -> ParityGame:
-    dpa = g.condition
-    owners = {}
-    edges = {}
-    for v in g.arena.owners:
-        for q in range(dpa.n):
-            node = (v, q)
-            owners[node] = g.arena.owners[v]
-            moves = []
-            for letter, dst in g.arena.out_edges(v):
-                q2, pri = dpa.step(q, letter)
-                moves.append((letter, (dst, q2), pri))
-            edges[node] = moves
-    return ParityGame(owners, edges)
+    arena, delta = g.arena, g.condition.delta
+
+    def moves(node):
+        row = delta[node[1]]
+        out = []
+        for letter, dst in arena.out_edges(node[0]):
+            q2, pri = row[letter]
+            out.append((letter, (dst, q2), pri))
+        return out
+
+    edges = reachable_graph(
+        [(v, q) for v in arena.owners for q in range(g.condition.n)], moves)
+    return ParityGame({node: arena.owners[node[0]] for node in edges}, edges)
 
 
 class _Expanded:
@@ -249,14 +251,13 @@ class SolveResult:
     """Winning regions of a parity game plus positional move choices.
 
     eve_choice maps an Eve node inside her region to the index of the
-    edge to play; adam_choice likewise for Adam.
+    edge to play.
     """
 
-    def __init__(self, eve_region, adam_region, eve_choice, adam_choice):
+    def __init__(self, eve_region, adam_region, eve_choice):
         self.eve_region = eve_region
         self.adam_region = adam_region
         self.eve_choice = eve_choice
-        self.adam_choice = adam_choice
 
 
 def solve_parity(pg: ParityGame) -> SolveResult:
@@ -265,11 +266,11 @@ def solve_parity(pg: ParityGame) -> SolveResult:
     if sys.getrecursionlimit() < depth_needed:
         sys.setrecursionlimit(depth_needed)
     eve, adam, choice = _zielonka(exp, set(range(len(exp.owner))))
-    assert len(eve) + len(adam) == len(exp.owner)
+    if len(eve) + len(adam) != len(exp.owner):
+        raise AssertionError("winning regions do not partition the game")
     eve_region = set()
     adam_region = set()
     eve_choice = {}
-    adam_choice = {}
     for i, v in enumerate(exp.orig):
         if i in eve:
             eve_region.add(v)
@@ -278,10 +279,7 @@ def solve_parity(pg: ParityGame) -> SolveResult:
                 eve_choice[v] = k
         else:
             adam_region.add(v)
-            if exp.owner[i] == ADAM:
-                _vi, k = exp.edge_info[choice[i]]
-                adam_choice[v] = k
-    return SolveResult(eve_region, adam_region, eve_choice, adam_choice)
+    return SolveResult(eve_region, adam_region, eve_choice)
 
 
 class Strategy:
@@ -372,55 +370,23 @@ def solve_game(g: Game) -> GameSolution:
     res = solve_parity(pg)
     q0 = g.condition.initial
     region = sorted(v for v in g.arena.owners if (v, q0) in res.eve_region)
-    starts = [(v, q0) for v in region]
-    seen = set(starts)
-    queue = deque(starts)
-    order = list(starts)
-    edges = []
-    while queue:
-        node = queue.popleft()
-        v, q = node
-        moves = pg.edges[node]
-        if g.arena.owners[v] == EVE:
-            moves = [moves[res.eve_choice[node]]]
-        for letter, dst, _pri in moves:
-            assert dst in res.eve_region
-            edges.append((_mstate(g, *node), letter, _mstate(g, *dst)))
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-                order.append(dst)
-    states = [_mstate(g, *node) for node in order]
-    sigma = {_mstate(g, *node): node[0] for node in order}
+
+    def moves(node):
+        out = pg.edges[node]
+        if g.arena.owners[node[0]] == EVE:
+            return [out[res.eve_choice[node]]]
+        return out
+
+    play = reachable_graph([(v, q0) for v in region], moves)
+    if not res.eve_region.issuperset(play):
+        raise AssertionError("the product strategy leaves Eve's region")
+    edges = [(_mstate(g, *node), letter, _mstate(g, *dst))
+             for node, out in play.items() for letter, dst, _pri in out]
+    states = [_mstate(g, *node) for node in play]
+    sigma = {_mstate(g, *node): node[0] for node in play}
     strategy = Strategy(states, edges, sigma)
     return GameSolution(set(region), strategy,
                         [_mstate(g, v, q0) for v in region])
-
-
-def _strategy_product(g: Game, s: Strategy, starts):
-    """Graph of (memory state, complement state) pairs reachable from
-    the given starts, edges carrying complement priorities."""
-    comp = complement_shift(g.condition)
-    roots = [(st, comp.initial) for st in starts]
-    graph = {}
-    queue = deque(roots)
-    for node in roots:
-        graph.setdefault(node, None)
-    while queue:
-        node = queue.popleft()
-        if graph[node] is not None:
-            continue
-        st, q = node
-        moves = []
-        for letter, dst in s.out_edges(st):
-            q2, pri = comp.step(q, letter)
-            nxt = (dst, q2)
-            moves.append((letter, nxt, (pri,)))
-            if nxt not in graph:
-                graph[nxt] = None
-                queue.append(nxt)
-        graph[node] = moves
-    return graph, roots
 
 
 def verify_strategy(g: Game, s: Strategy, starts) -> bool:
@@ -434,8 +400,19 @@ def verify_strategy(g: Game, s: Strategy, starts) -> bool:
     for st in starts:
         if st not in s.sigma:
             raise PreconditionViolated("unknown start state %r" % (st,))
-    graph, roots = _strategy_product(g, s, starts)
-    bad = nodes_reaching_accepting_cycle(graph)
+    delta = g.condition.delta
+
+    def moves(node):
+        row = delta[node[1]]
+        out = []
+        for letter, dst in s.out_edges(node[0]):
+            q2, pri = row[letter]
+            # the complement_shift priority
+            out.append((letter, (dst, q2), (pri + 1,)))
+        return out
+
+    roots = [(st, g.condition.initial) for st in starts]
+    bad = nodes_reaching_accepting_cycle(reachable_graph(roots, moves))
     return not any(root in bad for root in roots)
 
 
@@ -465,14 +442,7 @@ def find_positional(g: Game, v0, cap: int = 10 ** 6):
                 return [out[choice[v]]]
             return out
 
-        reach = {v0}
-        queue = deque([v0])
-        while queue:
-            v = queue.popleft()
-            for _letter, dst in moves(v):
-                if dst not in reach:
-                    reach.add(dst)
-                    queue.append(dst)
+        reach = reachable_graph([v0], moves)
         signature = tuple((v, choice[v]) for v in eve_vertices if v in reach)
         if signature in seen_signatures:
             continue

@@ -17,7 +17,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
 from .automata import (Dpa, member, member_from, reachable_states,
                        residual_graph)
@@ -307,7 +307,7 @@ def check_property1(a: Dpa) -> PropertyReport:
     """
     access = reachable_states(a)
     states = sorted(access)
-    g = residual_graph(a)
+    g = residual_graph(a, iproduct(states, repeat=2))
     bad = nodes_reaching_accepting_cycle(g)
     failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
                if (p, q) in bad and (q, p) in bad]
@@ -339,13 +339,13 @@ def check_property1(a: Dpa) -> PropertyReport:
     return PropertyReport(False, chosen)
 
 
-def check_property2(a: Dpa, cap: int | None = None,
+def check_property2(a: Dpa,
                     monoid: PriorityMonoid | None = None) -> PropertyReport:
     """If u v w is accepted then u v^omega or u w must be."""
     access = reachable_states(a)
     if monoid is None:
-        monoid = PriorityMonoid(a, cap)
-    g = residual_graph(a)
+        monoid = PriorityMonoid(a)
+    g = residual_graph(a, iproduct(sorted(access), repeat=2))
     bad = nodes_reaching_accepting_cycle(g)
     for p in sorted(access):
         bit = 1 << p
@@ -399,12 +399,12 @@ def _first_accepted_product(monoid: PriorityMonoid, reach: int):
     return best
 
 
-def check_property3(a: Dpa, cap: int | None = None,
+def check_property3(a: Dpa,
                     monoid: PriorityMonoid | None = None) -> PropertyReport:
     """If u (v v')^omega is accepted then u v^omega or u v'^omega must be."""
     access = reachable_states(a)
     if monoid is None:
-        monoid = PriorityMonoid(a, cap)
+        monoid = PriorityMonoid(a)
     first = _first_accepted_product(monoid, sum(1 << p for p in access))
     if first is None:
         return PropertyReport(True)
@@ -481,14 +481,14 @@ class OrderLawReport:
         return not self.violations
 
 
-def verify_order_laws(a: Dpa, samples: int = 500, seed: int = 0,
-                       cap: int | None = None) -> OrderLawReport:
+def verify_order_laws(a: Dpa, samples: int = 500,
+                      seed: int = 0) -> OrderLawReport:
     """Sample the order laws a positional condition must satisfy.
 
     Laws checked per draw: all sampled lassos are pairwise comparable;
     v w is below v^omega or w; (v v')^omega is below v^omega or v'^omega.
     """
-    verdict = check_positional(a, cap)
+    verdict = check_positional(a)
     if not verdict.positional:
         raise PreconditionViolated(
             "order laws only hold for positional conditions")

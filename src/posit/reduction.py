@@ -195,7 +195,8 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
             return s
         plan = choose_merge(s, g.condition, *pair)
         merged = merge(s, plan)
-        assert len(merged.states) == len(s.states) - 1
+        if len(merged.states) != len(s.states) - 1:
+            raise AssertionError("merge did not remove exactly one state")
         if not verify_strategy(g, merged, region_states(merged)):
             raise MergeBrokeWinning(
                 "merging %r into %r (case %d) broke the strategy"

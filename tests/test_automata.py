@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 import posit
@@ -5,10 +7,12 @@ from posit import (LassoWord, ParseError, PreconditionViolated,
                    UnknownLetter, complement_shift, format_dpa, member,
                    member_from, parse_dpa, prepend, reachable_states,
                    residual_graph, residual_included, run_finite)
-from posit.cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
+from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
+                          reachable_graph)
 from posit.fixtures import DPA_NAMES, load_dpa
 
-from oracles import SEMANTICS, lassos_up_to, random_lassos, sim_member
+from oracles import (SEMANTICS, lassos_up_to, pair_graph, random_lassos,
+                     sim_member)
 
 GOOD = """\
 dpa v1
@@ -131,13 +135,29 @@ class TestComplement:
 class TestProduct:
     def test_conj_empty_intersection(self):
         a = load_dpa("buchi_a")
-        assert accepting_lasso_from(residual_graph(a), (0, 0)) is None
+        assert accepting_lasso_from(residual_graph(a, [(0, 0)]),
+                                    (0, 0)) is None
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_conj_verdicts_match_brute_enumeration(self, name):
         a = load_dpa(name)
-        g = residual_graph(a)
+        g = residual_graph(a, iproduct(range(a.n), repeat=2))
+        assert g == pair_graph(a)
         bad = nodes_reaching_accepting_cycle(g)
+        for p, q in g:
+            # one root: exactly the pairs (p, q) reaches, with the same
+            # edges, and the same inclusion verdict
+            reach = {(p, q)}
+            while True:
+                step = {(a.delta[x][c][0], a.delta[y][c][0])
+                        for x, y in reach for c in a.alphabet}
+                if step <= reach:
+                    break
+                reach |= step
+            sub = residual_graph(a, [(p, q)])
+            assert set(sub) == reach
+            assert all(sub[node] == g[node] for node in sub)
+            assert (residual_included(a, p, q) is None) == ((p, q) not in bad)
         domain = lassos_up_to(a.alphabet, 2, 3)
         states = sorted(reachable_states(a))
         for p in states:
@@ -152,6 +172,22 @@ class TestProduct:
                     for cand in domain:
                         assert not (member_from(a, p, cand)
                                     and not member_from(a, q, cand))
+
+
+class TestReachableGraph:
+    def test_breadth_first_and_repeated_roots_once(self):
+        succ = {0: [1, 2], 1: [3], 2: [3, 0], 3: [4], 4: [], 5: [0]}
+        calls = []
+
+        def moves(v):
+            calls.append(v)
+            return [("x", d) for d in succ[v]]
+
+        g = reachable_graph([2, 2, 1, 2], moves)
+        assert list(g) == [2, 1, 3, 0, 4]
+        assert calls == [2, 1, 3, 0, 4]
+        assert g[2] == [("x", 3), ("x", 0)]
+        assert g[4] == []
 
 
 class TestResiduals:

@@ -1,8 +1,8 @@
 import pytest
 
 from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
-                   ParseError, SearchSpaceTooLarge, SinkVertex, Strategy,
-                   UnknownLetter,
+                   ParseError, PreconditionViolated, SearchSpaceTooLarge,
+                   SinkVertex, Strategy, UnknownLetter,
                    find_positional, format_arena, parse_arena, random_arena,
                    solve_game, solve_parity, validate_strategy,
                    verify_strategy)
@@ -161,6 +161,11 @@ class TestStrategies:
     def test_verify_accepts_winning_choice(self):
         s = Strategy(("m1",), (("m1", "a", "m1"),), {"m1": "center"})
         assert verify_strategy(self.game(), s, ["m1"])
+
+    def test_verify_rejects_unknown_start(self):
+        s = Strategy(("m1",), (("m1", "a", "m1"),), {"m1": "center"})
+        with pytest.raises(PreconditionViolated, match="unknown start"):
+            verify_strategy(self.game(), s, ["m1", "m2"])
 
 
 class TestFindPositional:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import posit
 from posit import (Game, IncomparableLassos, InvalidPlan, LassoWord,
                    MergeBrokeWinning, MergePlan, NotEveOnly,
                    PreconditionViolated, Strategy, choose_merge, lasso_equal,
@@ -172,6 +178,28 @@ class TestReduce:
         with pytest.raises(NotEveOnly):
             reduce_to_positional(game, solution.strategy,
                                  solution.winning_region)
+
+    def test_state_count_check_runs_under_optimize(self):
+        # a merge that drops no state is an internal bug, even under -O
+        code = "\n".join((
+            "import posit.reduction as R",
+            "from posit.fixtures import load_arena, load_dpa",
+            "from posit.games import Game, Strategy",
+            "R.merge = lambda s, plan: s",
+            "game = Game(load_arena('twoloops'), load_dpa('fin_a'))",
+            "s = Strategy(('m1', 'm2'), (('m1', 'a', 'm2'), ('m2', 'b', 'm2')),",
+            "             {'m1': 'center', 'm2': 'center'})",
+            "try:",
+            "    R.reduce_to_positional(game, s, {'center'})",
+            "except AssertionError:",
+            "    print('raised', __debug__)",
+        ))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(posit.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        assert out.stdout == "raised False\n"
 
     def test_weak_strategy_rejected(self):
         # m1 wins from the start but m2's b loop never sees an a
