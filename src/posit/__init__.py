@@ -18,13 +18,12 @@ from .gadgets import certify_nonpositional, gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
                     solve_parity, validate_strategy, verify_strategy)
-from .positionality import (Comparison, MonoidElement, PositionalityVerdict,
+from .positionality import (Comparison, PositionalityVerdict,
                             PriorityMonoid, PropertyReport, Witness1,
                             Witness2, Witness3, check_positional,
                             check_property1, check_property2,
                             check_property3, compare_lassos,
-                            generate_monoid, omega_accept, verify_order_laws,
-                            witness_from_dict)
+                            verify_order_laws, witness_from_dict)
 from .reduction import (MergePlan, choose_merge, merge, path_word,
                         reduce_to_positional, unique_path_lasso)
 from .words import Alphabet, LassoWord, lasso_equal, normalize, parse_lasso, \
@@ -34,19 +33,18 @@ __all__ = [
     "ADAM", "Alphabet", "AlphabetMismatch", "Arena", "Comparison", "Dpa",
     "EVE", "Game", "IncomparableLassos", "InvalidPlan", "InvalidStrategy",
     "InvalidWitness", "LassoWord", "MalformedLasso", "MergeBrokeWinning",
-    "MergePlan", "MonoidElement", "MonoidTooLarge", "NotEveOnly",
-    "ParseError", "PositError", "PositionalityVerdict", "PreconditionViolated",
-    "PriorityMonoid", "PropertyReport", "SearchSpaceTooLarge", "SinkVertex",
-    "Strategy", "UnknownLetter", "Witness1", "Witness2", "Witness3",
+    "MergePlan", "MonoidTooLarge", "NotEveOnly", "ParseError", "PositError",
+    "PositionalityVerdict", "PreconditionViolated", "PriorityMonoid",
+    "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",
+    "UnknownLetter", "Witness1", "Witness2", "Witness3",
     "WitnessRecheckFailed",
     "certify_nonpositional", "check_positional", "check_property1",
     "check_property2", "check_property3", "choose_merge", "compare_lassos",
     "complement_shift", "find_positional", "format_arena", "format_dpa",
-    "gadget_from_witness", "generate_monoid", "lasso_equal", "member",
-    "member_from", "merge", "normalize", "omega_accept", "parse_arena",
-    "parse_dpa", "parse_lasso", "path_word", "prepend", "random_arena",
-    "reachable_states", "reduce_to_positional", "residual_graph",
-    "residual_included", "run_finite", "solve_game", "solve_parity",
-    "unique_path_lasso", "unroll", "validate_strategy", "verify_order_laws",
-    "verify_strategy", "witness_from_dict",
+    "gadget_from_witness", "lasso_equal", "member", "member_from", "merge",
+    "normalize", "parse_arena", "parse_dpa", "parse_lasso", "path_word",
+    "prepend", "random_arena", "reachable_states", "reduce_to_positional",
+    "residual_graph", "residual_included", "run_finite", "solve_game",
+    "solve_parity", "unique_path_lasso", "unroll", "validate_strategy",
+    "verify_order_laws", "verify_strategy", "witness_from_dict",
 ]

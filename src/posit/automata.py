@@ -161,10 +161,6 @@ def parse_dpa(text: str) -> Dpa:
             raise ParseError(
                 "line %d: duplicate transition from %s on %r" % (no, src, c))
         row[c] = (ids[tgt], pri)
-    for name, row in zip(names, delta):
-        for c in alphabet:
-            if c not in row:
-                raise ParseError("state %s has no transition on %r" % (name, c))
     return Dpa(alphabet, names, ids[initial_tok], delta)
 
 

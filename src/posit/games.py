@@ -10,8 +10,8 @@ number of memory states per vertex bounds the memory needed.
 Two products with the condition are built here: the arena with the
 automaton, a parity game that Zielonka's algorithm solves
 (`product_game`), and a strategy with the complement automaton, whose
-reachable accepting cycles are the plays the strategy loses
-(`verify_strategy`, which `find_positional` uses for each candidate).
+reachable accepting cycles are the plays the strategy loses (`_wins`,
+which `verify_strategy` and `find_positional` share).
 Both, and the plays of a fixed choice in `solve_game` and
 `find_positional`, are built by `cycles.reachable_graph`.
 """
@@ -389,23 +389,18 @@ def solve_game(g: Game) -> GameSolution:
                         [_mstate(g, v, q0) for v in region])
 
 
-def verify_strategy(g: Game, s: Strategy, starts) -> bool:
-    """Does the strategy win from every given start state?
+def _wins(g: Game, out_edges, starts) -> bool:
+    """Is every play from `starts` that follows `out_edges` won by Eve?
 
-    Checks that no play consistent with the strategy is accepted by the
-    complement: the strategy wins iff no even-minimum cycle of the
-    complement product is reachable from a start.
+    The plays lose iff an even-minimum cycle of their product with the
+    complement is reachable from a start.
     """
-    validate_strategy(g, s)
-    for st in starts:
-        if st not in s.sigma:
-            raise PreconditionViolated("unknown start state %r" % (st,))
     delta = g.condition.delta
 
     def moves(node):
         row = delta[node[1]]
         out = []
-        for letter, dst in s.out_edges(node[0]):
+        for letter, dst in out_edges(node[0]):
             q2, pri = row[letter]
             # the complement_shift priority
             out.append((letter, (dst, q2), (pri + 1,)))
@@ -416,12 +411,22 @@ def verify_strategy(g: Game, s: Strategy, starts) -> bool:
     return not any(root in bad for root in roots)
 
 
+def verify_strategy(g: Game, s: Strategy, starts) -> bool:
+    """Does the strategy win from every given start state?"""
+    validate_strategy(g, s)
+    for st in starts:
+        if st not in s.sigma:
+            raise PreconditionViolated("unknown start state %r" % (st,))
+    return _wins(g, s.out_edges, starts)
+
+
 def find_positional(g: Game, v0, cap: int = 10 ** 6):
     """Smallest-index positional strategy winning from v0, or None.
 
     Enumerates Eve's choice functions in edge-list order, skipping
     functions that agree on the part of the arena reachable from v0,
-    and checks each remaining one with verify_strategy.
+    and tests the plays of each remaining one; only the winning choice
+    becomes a `Strategy`, validated once.
     """
     arena = g.arena
     if v0 not in arena.owners:
@@ -447,11 +452,12 @@ def find_positional(g: Game, v0, cap: int = 10 ** 6):
         if signature in seen_signatures:
             continue
         seen_signatures.add(signature)
-        edges = [(v, letter, dst) for v in arena.owners
-                 for letter, dst in moves(v)]
-        strategy = Strategy(tuple(arena.owners), edges,
-                            {v: v for v in arena.owners})
-        if verify_strategy(g, strategy, [v0]):
+        if _wins(g, moves, [v0]):
+            edges = [(v, letter, dst) for v in arena.owners
+                     for letter, dst in moves(v)]
+            strategy = Strategy(tuple(arena.owners), edges,
+                                {v: v for v in arena.owners})
+            validate_strategy(g, strategy)
             return strategy
     return None
 

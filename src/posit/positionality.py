@@ -7,16 +7,20 @@ witness over lasso words:
 2. if u v w is accepted then u v^w or u w is;
 3. if u (v v')^w is accepted then u v^w or u v'^w is.
 
-All three hold iff the language is positional for the protagonist.  The
-checks work on the transition monoid enriched with minimum priorities,
-so properties 2 and 3 quantify over finitely many monoid elements
-instead of all words.
+All three hold iff the language is positional for the protagonist.
+Properties 1 and 2 read residual inclusion off one sweep of the
+residual graph.  Properties 2 and 3 work on the transition monoid
+enriched with minimum priorities (`PriorityMonoid`), so they quantify
+over finitely many monoid elements instead of all words.
+`check_positional` computes each of these once and hands it to every
+check that reads it.
 """
 
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product as iproduct
 
 from .automata import (Dpa, member, member_from, reachable_states,
@@ -31,41 +35,6 @@ DEFAULT_MONOID_CAP = 100_000
 
 def monoid_cap() -> int:
     return int(os.environ.get("POSIT_MONOID_CAP", DEFAULT_MONOID_CAP))
-
-
-@dataclass(frozen=True)
-class MonoidElement:
-    """Joint behaviour of all nonempty words with the same state action.
-
-    f[q] is the state reached from q, g[q] the minimum priority seen on
-    the way.  The witness is the shortest word realising the pair, first
-    in alphabet order among those.
-    """
-
-    f: tuple
-    g: tuple
-    witness: str = field(compare=False)
-
-
-def letter_element(a: Dpa, c: str) -> MonoidElement:
-    moves = [a.step(q, c) for q in range(a.n)]
-    return MonoidElement(tuple(t for t, _ in moves),
-                         tuple(p for _, p in moves), c)
-
-
-def compose(m1: MonoidElement, m2: MonoidElement) -> MonoidElement:
-    f = tuple(m2.f[q] for q in m1.f)
-    g = tuple(min(m1.g[q], m2.g[m1.f[q]]) for q in range(len(m1.f)))
-    return MonoidElement(f, g, m1.witness + m2.witness)
-
-
-def element_of_word(a: Dpa, word: str) -> MonoidElement:
-    if not word:
-        raise PreconditionViolated("monoid elements represent nonempty words")
-    out = letter_element(a, word[0])
-    for c in word[1:]:
-        out = compose(out, letter_element(a, c))
-    return out
 
 
 class PriorityMonoid:
@@ -135,12 +104,6 @@ class PriorityMonoid:
             i = self.parent[i]
         return "".join(reversed(letters))
 
-    def elements(self) -> list:
-        return [MonoidElement(tuple(c // self.base for c in key),
-                              tuple(c % self.base for c in key),
-                              self.witness(i))
-                for i, key in enumerate(self.codes)]
-
 
 def _omega_mask(key: tuple, base: int) -> int:
     """Bit p set iff the omega-power of the element `key` is accepted
@@ -162,23 +125,6 @@ def _omega_mask(key: tuple, base: int) -> int:
         if verdict[p]:
             mask |= 1 << p
     return mask
-
-
-def generate_monoid(a: Dpa, cap: int | None = None):
-    """All (f, g) behaviours of nonempty words, shortest witnesses first."""
-    return PriorityMonoid(a, cap).elements()
-
-
-def omega_accept(a: Dpa, m: MonoidElement, p: int) -> bool:
-    """Is w^omega accepted from p, for any word w behaving like m?"""
-    seen = {}
-    order = []
-    q = p
-    while q not in seen:
-        seen[q] = len(order)
-        order.append(q)
-        q = m.f[q]
-    return min(m.g[s] for s in order[seen[q]:]) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -263,28 +209,27 @@ class PositionalityVerdict:
 
 
 def _return_word(a: Dpa):
-    """Shortest nonempty word leading the initial state back to itself."""
-    best = None
-    for c in a.alphabet:
-        start, _ = a.delta[a.initial][c]
-        seen = {start: ""}
-        queue = deque([start])
-        word = None
-        while queue:
-            p = queue.popleft()
-            if p == a.initial:
-                word = seen[p]
-                break
-            for c2 in a.alphabet:
-                t, _ = a.delta[p][c2]
-                if t not in seen:
-                    seen[t] = seen[p] + c2
-                    queue.append(t)
-        if word is not None:
-            cand = c + word
-            if best is None or a.alphabet.key(cand) < a.alphabet.key(best):
-                best = cand
-    return best
+    """Shortest nonempty word leading the initial state back to itself,
+    first in alphabet order among those; None if there is none.
+
+    One breadth-first search that expands the initial state first
+    without marking it seen, so reaching it again closes the loop.
+    """
+    seen = {}
+    queue = deque()
+    p, word = a.initial, ""
+    while True:
+        for c in a.alphabet:
+            t, _ = a.delta[p][c]
+            if t not in seen:
+                seen[t] = word + c
+                queue.append(t)
+        if not queue:
+            return None
+        p = queue.popleft()
+        word = seen[p]
+        if p == a.initial:
+            return word
 
 
 def _recheck(a: Dpa, witness, accepted, rejected) -> None:
@@ -299,16 +244,33 @@ def _recheck(a: Dpa, witness, accepted, rejected) -> None:
                 % (witness, lasso, not expected, expected))
 
 
-def check_property1(a: Dpa) -> PropertyReport:
-    """Residual languages must be totally preordered by inclusion.
+class _Facts:
+    """What the three property checks share, each computed at most once:
+    the access words of the reachable states and those states in order;
+    on first use, the residual graph over pairs of them with the set of
+    pairs (p, q) such that L(p) is not included in L(q), and the
+    priority monoid."""
 
-    One sweep of the residual graph gives every non-inclusion at once;
-    lassos are extracted only for the reported pair.
-    """
-    access = reachable_states(a)
-    states = sorted(access)
-    g = residual_graph(a, iproduct(states, repeat=2))
-    bad = nodes_reaching_accepting_cycle(g)
+    def __init__(self, a: Dpa, cap: int | None = None):
+        self.a = a
+        self.cap = cap
+        self.access = reachable_states(a)
+        self.states = sorted(self.access)
+
+    @cached_property
+    def residuals(self):
+        """(residual graph, its nodes reaching an accepting cycle)."""
+        g = residual_graph(self.a, iproduct(self.states, repeat=2))
+        return g, nodes_reaching_accepting_cycle(g)
+
+    @cached_property
+    def monoid(self) -> PriorityMonoid:
+        return PriorityMonoid(self.a, self.cap)
+
+
+def _property1(facts: _Facts) -> PropertyReport:
+    a, access, states = facts.a, facts.access, facts.states
+    g, bad = facts.residuals
     failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
                if (p, q) in bad and (q, p) in bad]
     if not failing:
@@ -339,15 +301,10 @@ def check_property1(a: Dpa) -> PropertyReport:
     return PropertyReport(False, chosen)
 
 
-def check_property2(a: Dpa,
-                    monoid: PriorityMonoid | None = None) -> PropertyReport:
-    """If u v w is accepted then u v^omega or u w must be."""
-    access = reachable_states(a)
-    if monoid is None:
-        monoid = PriorityMonoid(a)
-    g = residual_graph(a, iproduct(sorted(access), repeat=2))
-    bad = nodes_reaching_accepting_cycle(g)
-    for p in sorted(access):
+def _property2(facts: _Facts) -> PropertyReport:
+    a, access, monoid = facts.a, facts.access, facts.monoid
+    g, bad = facts.residuals
+    for p in facts.states:
         bit = 1 << p
         for i, mask in enumerate(monoid.accepting):
             if mask & bit:
@@ -399,12 +356,8 @@ def _first_accepted_product(monoid: PriorityMonoid, reach: int):
     return best
 
 
-def check_property3(a: Dpa,
-                    monoid: PriorityMonoid | None = None) -> PropertyReport:
-    """If u (v v')^omega is accepted then u v^omega or u v'^omega must be."""
-    access = reachable_states(a)
-    if monoid is None:
-        monoid = PriorityMonoid(a)
+def _property3(facts: _Facts) -> PropertyReport:
+    a, access, monoid = facts.a, facts.access, facts.monoid
     first = _first_accepted_product(monoid, sum(1 << p for p in access))
     if first is None:
         return PropertyReport(True)
@@ -416,18 +369,36 @@ def check_property3(a: Dpa,
     return PropertyReport(False, found)
 
 
+def check_property1(a: Dpa) -> PropertyReport:
+    """Residual languages must be totally preordered by inclusion.
+
+    One sweep of the residual graph gives every non-inclusion at once;
+    lassos are extracted only for the reported pair.
+    """
+    return _property1(_Facts(a))
+
+
+def check_property2(a: Dpa) -> PropertyReport:
+    """If u v w is accepted then u v^omega or u w must be."""
+    return _property2(_Facts(a))
+
+
+def check_property3(a: Dpa) -> PropertyReport:
+    """If u (v v')^omega is accepted then u v^omega or u v'^omega must be."""
+    return _property3(_Facts(a))
+
+
 def check_positional(a: Dpa, cap: int | None = None) -> PositionalityVerdict:
     """First failing property wins; all passing means positional.
 
-    Properties 2 and 3 share one priority monoid, generated only once
-    property 1 holds.
+    The three checks share one `_Facts`: properties 1 and 2 read the
+    same residual sweep, properties 2 and 3 the same priority monoid,
+    which is generated only once property 1 holds.
     """
-    report = check_property1(a)
-    if not report.passed:
-        return PositionalityVerdict(False, 1, report.witness)
-    monoid = PriorityMonoid(a, cap)
-    for number, check in ((2, check_property2), (3, check_property3)):
-        report = check(a, monoid=monoid)
+    facts = _Facts(a, cap)
+    for number, check in ((1, _property1), (2, _property2),
+                          (3, _property3)):
+        report = check(facts)
         if not report.passed:
             return PositionalityVerdict(False, number, report.witness)
     return PositionalityVerdict(True)

@@ -163,12 +163,16 @@ def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
 
 
 def _least_shared_pair(s: Strategy):
-    states = sorted(s.states)
-    for i, p in enumerate(states):
-        for q in states[i + 1:]:
-            if s.sigma[p] == s.sigma[q]:
-                return p, q
-    return None
+    """The least pair (p, q), p < q over one vertex: least p, then least
+    q; None when no vertex holds two states.  One pass over the sorted
+    states, remembering the first state seen on each vertex."""
+    first = {}
+    best = None
+    for q in sorted(s.states):
+        p = first.setdefault(s.sigma[q], q)
+        if p != q and (best is None or p < best[0]):
+            best = (p, q)
+    return best
 
 
 def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:

@@ -11,10 +11,9 @@ import random
 from itertools import product
 
 from posit import (Alphabet, Dpa, LassoWord, PropertyReport, Witness1,
-                   Witness2, Witness3, complement_shift, generate_monoid,
-                   member_from, omega_accept, prepend, reachable_states)
+                   Witness2, Witness3, complement_shift, member_from, prepend,
+                   reachable_states)
 from posit.cycles import accepting_lasso_from
-from posit.positionality import _return_word, compose
 
 EVE = "E"
 
@@ -223,9 +222,60 @@ def brute_property3(a, max_u, max_v):
 
 
 # ---------------------------------------------------------------------------
+# the priority monoid by witness words: a behaviour is the pair (f, g) of
+# a nonempty word, f[q] the state it leads q to and g[q] the least
+# priority seen on the way
+
+def ref_compose(x, y):
+    """The behaviour of u v from those of u and v."""
+    f1, g1 = x
+    f2, g2 = y
+    return (tuple(f2[q] for q in f1),
+            tuple(min(g1[q], g2[f1[q]]) for q in range(len(f1))))
+
+
+def ref_omega_accept(x, p) -> bool:
+    """Is v^omega accepted from p, for a word v behaving like x?"""
+    f, g = x
+    seen = {}
+    order = []
+    q = p
+    while q not in seen:
+        seen[q] = len(order)
+        order.append(q)
+        q = f[q]
+    return min(g[s] for s in order[seen[q]:]) % 2 == 0
+
+
+def ref_monoid(a):
+    """[(witness, behaviour)] breadth first over witness words: letters
+    first, then every new element's one-letter extensions in order, so
+    each behaviour keeps its shortest witness, first in alphabet order."""
+    words = list(a.alphabet)
+    seen = set()
+    out = []
+    for word in words:                 # grows while iterated: BFS
+        x = word_behavior(a, word)
+        if x not in seen:
+            seen.add(x)
+            out.append((word, x))
+            words.extend(word + c for c in a.alphabet)
+    return out
+
+
+def ref_return_word(a):
+    """Shortest nonempty word from the initial state back to it, first
+    in alphabet order, by enumerating words shortest first."""
+    for word in words_up_to(a.alphabet, a.n, min_len=1):
+        if _advance(a, a.initial, word) == a.initial:
+            return word
+    return None
+
+
+# ---------------------------------------------------------------------------
 # properties 1 to 3 by the plain loops: one lasso search on the pair graph
-# per pair of states, omega_accept per monoid element and start state,
-# compose per pair of elements
+# per pair of states, ref_omega_accept per monoid element and start
+# state, ref_compose per pair of elements
 
 def pair_graph(a):
     """A x complement_shift(A) as a cycles.py graph, from the two tables."""
@@ -252,7 +302,7 @@ def ref_property1(a):
                 failing.append((p, q, w, wp))
     if not failing:
         return PropertyReport(True)
-    ret = _return_word(a)
+    ret = ref_return_word(a)
 
     def u_of(state):
         return access[state] or ret or ""
@@ -264,34 +314,34 @@ def ref_property1(a):
     return PropertyReport(False, Witness1(access[p], access[q], w, wp))
 
 
-def ref_property2(a, cap=None):
+def ref_property2(a):
     access = reachable_states(a)
-    monoid = generate_monoid(a, cap)
+    monoid = ref_monoid(a)
     g = pair_graph(a)
     cache = {}
     for p in sorted(access):
-        for m in monoid:
-            if omega_accept(a, m, p):
+        for witness, x in monoid:
+            if ref_omega_accept(x, p):
                 continue
-            q = m.f[p]
+            q = x[0][p]
             if (q, p) not in cache:
                 cache[q, p] = accepting_lasso_from(g, (q, p))
             if cache[q, p] is not None:
                 return PropertyReport(
-                    False, Witness2(access[p], m.witness, cache[q, p]))
+                    False, Witness2(access[p], witness, cache[q, p]))
     return PropertyReport(True)
 
 
-def ref_property3(a, cap=None):
+def ref_property3(a):
     access = reachable_states(a)
-    monoid = generate_monoid(a, cap)
+    monoid = ref_monoid(a)
     for p in sorted(access):
-        rejecting = [m for m in monoid if not omega_accept(a, m, p)]
-        for m in rejecting:
-            for m2 in rejecting:
-                if omega_accept(a, compose(m, m2), p):
+        rejecting = [(w, x) for w, x in monoid if not ref_omega_accept(x, p)]
+        for v, x in rejecting:
+            for vp, y in rejecting:
+                if ref_omega_accept(ref_compose(x, y), p):
                     return PropertyReport(
-                        False, Witness3(access[p], m.witness, m2.witness))
+                        False, Witness3(access[p], v, vp))
     return PropertyReport(True)
 
 

@@ -11,17 +11,17 @@ from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
                    PreconditionViolated, PriorityMonoid, Witness1, Witness2,
                    Witness3, WitnessRecheckFailed, check_positional,
                    check_property1, check_property2, check_property3,
-                   compare_lassos, generate_monoid, member, member_from,
-                   omega_accept, reachable_states, verify_order_laws,
+                   compare_lassos, member, member_from, verify_order_laws,
                    witness_from_dict)
 from posit import positionality
-from posit.positionality import compose, element_of_word, letter_element
+from posit.positionality import _return_word
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
                      certify_witness, lassos_up_to, perm_parity, random_dpa,
+                     ref_compose, ref_monoid, ref_omega_accept,
                      ref_property1, ref_property2, ref_property3,
-                     word_behavior, words_up_to)
+                     ref_return_word, word_behavior, words_up_to)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 
@@ -37,42 +37,33 @@ EXPECTED = {
 }
 
 
+def behaviours(monoid: PriorityMonoid):
+    """The (f, g) pair of every element, decoded from its codes."""
+    return [(tuple(c // monoid.base for c in key),
+             tuple(c % monoid.base for c in key)) for key in monoid.codes]
+
+
 class TestMonoid:
-    def test_letter_element(self):
-        a = load_dpa("onea")
-        el = letter_element(a, "a")
-        assert el.f == (1, 1)
-        assert el.g == (1, 1)
-        assert el.witness == "a"
-
-    def test_compose_tracks_minimum(self):
-        a = load_dpa("onea")
-        ab = compose(letter_element(a, "a"), letter_element(a, "b"))
-        assert ab.f == (1, 1)
-        assert ab.g == (1, 1)
-        assert ab.witness == "ab"
-        bb = compose(letter_element(a, "b"), letter_element(a, "b"))
-        assert bb.g == (1, 2)
-
     def test_onea_monoid_has_two_elements(self):
         # only "contains an a" matters: every word maps 0 with minimum 1
-        assert len(generate_monoid(load_dpa("onea"))) == 2
+        assert len(PriorityMonoid(load_dpa("onea")).codes) == 2
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_monoid_is_exactly_the_word_behaviours(self, name):
         a = load_dpa(name)
-        monoid = generate_monoid(a)
-        keys = {(m.f, m.g) for m in monoid}
+        monoid = PriorityMonoid(a)
+        elements = behaviours(monoid)
+        keys = set(elements)
+        assert len(keys) == len(elements)
         # witnesses realise their element
-        for m in monoid:
-            assert word_behavior(a, m.witness) == (m.f, m.g)
+        for i, x in enumerate(elements):
+            assert word_behavior(a, monoid.witness(i)) == x
         # closed under composition and containing the letters
         for c in a.alphabet:
             assert word_behavior(a, c) in keys
-        for m1 in monoid:
-            for m2 in monoid:
-                comp = compose(m1, m2)
-                assert (comp.f, comp.g) in keys
+        for x in elements:
+            for y in elements:
+                assert ref_compose(x, y) in keys
         # no behaviour of a short word is missing
         for word in words_up_to(a.alphabet, 4, min_len=1):
             assert word_behavior(a, word) in keys
@@ -80,50 +71,55 @@ class TestMonoid:
     def test_witnesses_are_shortest_first(self):
         for name in DPA_NAMES:
             a = load_dpa(name)
-            for m in generate_monoid(a):
-                for word in words_up_to(a.alphabet, len(m.witness) - 1, 1):
-                    assert word_behavior(a, word) != (m.f, m.g)
+            monoid = PriorityMonoid(a)
+            for i, x in enumerate(behaviours(monoid)):
+                witness = monoid.witness(i)
+                for word in words_up_to(a.alphabet, len(witness) - 1, 1):
+                    assert word_behavior(a, word) != x
 
     def test_cap(self):
         with pytest.raises(MonoidTooLarge):
-            generate_monoid(load_dpa("w2"), cap=3)
+            PriorityMonoid(load_dpa("w2"), cap=3)
 
     def test_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("POSIT_MONOID_CAP", "3")
         with pytest.raises(MonoidTooLarge):
-            generate_monoid(load_dpa("w2"))
-
-    def test_element_of_word_rejects_empty(self):
-        with pytest.raises(PreconditionViolated):
-            element_of_word(load_dpa("onea"), "")
+            PriorityMonoid(load_dpa("w2"))
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_cayley_table_and_masks(self, name):
         a = load_dpa(name)
         monoid = PriorityMonoid(a)
-        elements = generate_monoid(a)
-        ids = {(m.f, m.g): i for i, m in enumerate(elements)}
-        assert len(monoid.codes) == len(elements)
-        for i, m in enumerate(elements):
-            assert monoid.witness(i) == m.witness
-            for c in a.alphabet:
-                comp = compose(m, letter_element(a, c))
-                assert (monoid.right[i][a.alphabet.index(c)]
-                        == ids[comp.f, comp.g])
+        elements = behaviours(monoid)
+        ids = {x: i for i, x in enumerate(elements)}
+        for i, x in enumerate(elements):
+            for ci, c in enumerate(a.alphabet):
+                extended = word_behavior(a, monoid.witness(i) + c)
+                assert monoid.right[i][ci] == ids[extended]
             for p in range(a.n):
-                assert monoid.target(i, p) == m.f[p]
+                assert monoid.target(i, p) == x[0][p]
                 assert (bool(monoid.accepting[i] >> p & 1)
-                        == omega_accept(a, m, p))
+                        == ref_omega_accept(x, p))
+
+    @pytest.mark.parametrize("name", DPA_NAMES)
+    def test_matches_reference_monoid(self, name):
+        a = load_dpa(name)
+        monoid = PriorityMonoid(a)
+        reference = ref_monoid(a)
+        assert ([monoid.witness(i) for i in range(len(monoid.codes))]
+                == [word for word, _x in reference])
+        assert behaviours(monoid) == [x for _word, x in reference]
 
 
 class TestOmegaAccept:
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_agrees_with_membership_of_the_witness_loop(self, name):
         a = load_dpa(name)
-        for m in generate_monoid(a):
-            for p in sorted(reachable_states(a)):
-                expected = member_from(a, p, LassoWord("", m.witness))
-                assert omega_accept(a, m, p) == expected
+        monoid = PriorityMonoid(a)
+        for i, mask in enumerate(monoid.accepting):
+            loop = LassoWord("", monoid.witness(i))
+            for p in range(a.n):
+                assert bool(mask >> p & 1) == member_from(a, p, loop)
 
 
 class TestProperties:
@@ -207,12 +203,39 @@ class TestIndexedMonoid:
         assert check_positional(load_dpa("w2")).failed_property == 3
         assert len(built) == 1
 
+    def test_one_residual_sweep_per_check(self, monkeypatch):
+        sweeps = []
+        sweep = positionality.nodes_reaching_accepting_cycle
+
+        def counting(g):
+            sweeps.append(len(g))
+            return sweep(g)
+
+        monkeypatch.setattr(positionality, "nodes_reaching_accepting_cycle",
+                            counting)
+        # w2 passes properties 1 and 2, so both read the sweep
+        assert check_positional(load_dpa("w2")).failed_property == 3
+        assert len(sweeps) == 1
+
     def test_perm_parity_6_is_positional(self):
         assert check_positional(perm_parity(6)).positional
 
     def test_cap_still_applies(self):
         with pytest.raises(MonoidTooLarge):
             check_positional(load_dpa("w2"), cap=3)
+
+
+class TestReturnWord:
+    def test_matches_shortest_first_enumeration(self):
+        rng = random.Random(5)
+        automata = ([load_dpa(name) for name in DPA_NAMES]
+                    + [random_dpa(rng, max_states=4) for _ in range(500)])
+        missing = 0
+        for a in automata:
+            assert _return_word(a) == ref_return_word(a)
+            missing += _return_word(a) is None
+        # automata without a return word occur too
+        assert 10 < missing < 250
 
 
 class TestWitnessRecheck:

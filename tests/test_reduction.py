@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,11 @@ import posit
 from posit import (Game, IncomparableLassos, InvalidPlan, LassoWord,
                    MergeBrokeWinning, MergePlan, NotEveOnly,
                    PreconditionViolated, Strategy, choose_merge, lasso_equal,
-                   merge, parse_arena, path_word, reduce_to_positional,
-                   solve_game, unique_path_lasso, verify_strategy)
+                   merge, parse_arena, path_word, random_arena,
+                   reduce_to_positional, solve_game, unique_path_lasso,
+                   verify_strategy)
 from posit.fixtures import load_arena, load_dpa
+from posit.reduction import _least_shared_pair
 
 
 def loop_strategy(edges):
@@ -127,6 +130,35 @@ class TestChooseMerge:
                          {"m1": "u", "m2": "center"})
         with pytest.raises(PreconditionViolated):
             choose_merge(other, dpa, "m1", "m2")
+
+
+def shuffled_names(s: Strategy, rng) -> Strategy:
+    """The same strategy with its states renamed at random, so that the
+    states over one vertex no longer sort next to each other."""
+    names = dict(zip(s.states, ("m%03d" % k for k in
+                                rng.sample(range(len(s.states)),
+                                           len(s.states)))))
+    return Strategy([names[st] for st in s.states],
+                    [(names[x], c, names[y]) for x, c, y in s.edges],
+                    {names[st]: v for st, v in s.sigma.items()})
+
+
+class TestLeastSharedPair:
+    def test_matches_minimum_over_all_pairs(self):
+        rng = random.Random(0)
+        found = 0
+        for name in ("ex3", "res", "infab"):
+            a = load_dpa(name)
+            for seed in range(30):
+                arena = random_arena(8, 3, 0.5, a.alphabet, seed=seed)
+                s = shuffled_names(solve_game(Game(arena, a)).strategy, rng)
+                brute = min(((p, q) for p in s.states for q in s.states
+                             if p < q and s.sigma[p] == s.sigma[q]),
+                            default=None)
+                assert _least_shared_pair(s) == brute
+                found += brute is not None
+        # both outcomes occur often enough for the comparison to bite
+        assert 10 < found < 80
 
 
 class TestReduce:
