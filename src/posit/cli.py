@@ -18,9 +18,9 @@ from .errors import (IncomparableLassos, MergeBrokeWinning, NotEveOnly,
                      PositError, PreconditionViolated, SinkVertex,
                      WitnessRecheckFailed)
 from .fixtures import data_dir, fixture_path
-from .gadgets import gadget_from_witness
-from .games import (EVE, Game, find_positional, format_arena, parse_arena,
-                    random_arena, solve_game, verify_strategy)
+from .gadgets import certify
+from .games import (Game, format_arena, parse_arena, random_arena, solve_game,
+                    verify_strategy)
 from .positionality import (check_positional, compare_lassos,
                             verify_order_laws, witness_from_dict)
 from .reduction import reduce_to_positional
@@ -124,23 +124,14 @@ def cmd_reduce(args) -> int:
     return 0 if verified else 1
 
 
-def _certify(a, witness, arena_out=None):
-    """Build the witness's gadget game and solve it: (start vertex, does
-    Eve win from it, does she win with a positional strategy)."""
-    arena, start = gadget_from_witness(witness, a.alphabet)
-    if arena_out:
-        Path(arena_out).write_text(format_arena(arena))
-    game = Game(arena, a)
-    eve_wins = start in solve_game(game).winning_region
-    return start, eve_wins, find_positional(game, start) is not None
-
-
 def cmd_gadget(args) -> int:
     a = _load_dpa(args.dpa)
     witness = witness_from_dict(json.loads(args.witness), a.alphabet)
-    start, eve_wins, positional = _certify(a, witness, args.arena_out)
+    arena, starts, eve_wins, positional = certify(a, witness)
+    if args.arena_out:
+        Path(args.arena_out).write_text(format_arena(arena))
     certified = eve_wins and not positional
-    print("start: %s" % start)
+    print("start: %s" % ",".join(starts))
     print("eve wins: %s" % ("true" if eve_wins else "false"))
     print("positional win: %s" % ("true" if positional else "false"))
     print("certified: %s" % ("true" if certified else "false"))
@@ -181,7 +172,7 @@ def cmd_selftest(args) -> int:
         print("check: not positional (property %d fails)"
               % verdict.failed_property)
         print("witness: " + json.dumps(verdict.witness.as_dict()))
-        _start, eve_wins, positional = _certify(a, verdict.witness)
+        _arena, _starts, eve_wins, positional = certify(a, verdict.witness)
         print("gadget: eve wins: %s" % ("true" if eve_wins else "false"))
         print("gadget: positional win: %s"
               % ("true" if positional else "false"))

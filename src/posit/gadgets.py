@@ -55,26 +55,28 @@ class _Builder:
 
 
 def gadget_from_witness(witness, alphabet: Alphabet):
-    """(arena, start vertex) realising the witness as a game.
+    """(arena, start vertices) realising the witness as a game.
 
-    The returned arena forces every play from the start to spell one of
-    the word combinations the witness talks about.
+    The returned arena forces every play from a start to spell one of
+    the word combinations the witness talks about.  It certifies when
+    Eve wins from every start but no positional strategy wins from all.
     """
     b = _Builder(alphabet)
     if isinstance(witness, Witness1):
-        # Adam picks the prefix u or u', Eve then commits to an exit.
-        if not witness.u or not witness.up:
-            raise InvalidWitness(
-                "both access words must be nonempty to build an arena")
+        # Adam picks the prefix u or u', Eve then commits to an exit; an
+        # empty access word makes the hub itself a second start.
         alphabet.require(witness.u)
         alphabet.require(witness.up)
-        start = b.vertex("s", ADAM)
+        access = [word for word in (witness.u, witness.up) if word]
+        starts = [b.vertex("s", ADAM)] if access else []
         hub = b.vertex("e", EVE)
-        b.path(start, witness.u, hub)
-        b.path(start, witness.up, hub)
+        for word in access:
+            b.path("s", word, hub)
+        if len(access) < 2:
+            starts.append(hub)
         b.lasso_exit(hub, witness.w)
         b.lasso_exit(hub, witness.wp)
-        return b.arena(), start
+        return b.arena(), starts
     if isinstance(witness, Witness2):
         # Eve repeats v or leaves for w after the forced prefix u.
         if not witness.v:
@@ -89,7 +91,7 @@ def gadget_from_witness(witness, alphabet: Alphabet):
             start = hub
         b.path(hub, witness.v, hub)
         b.lasso_exit(hub, witness.w)
-        return b.arena(), start
+        return b.arena(), [start]
     if isinstance(witness, Witness3):
         # Eve alternates freely between the v and v' loops.
         if not witness.v or not witness.vp:
@@ -105,19 +107,24 @@ def gadget_from_witness(witness, alphabet: Alphabet):
             start = hub
         b.path(hub, witness.v, hub)
         b.path(hub, witness.vp, hub)
-        return b.arena(), start
+        return b.arena(), [start]
     raise InvalidWitness("unknown witness %r" % (witness,))
+
+
+def certify(a: Dpa, witness):
+    """Build the witness's gadget game and solve it: (arena, starts, does
+    Eve win from every start, does one positional strategy)."""
+    arena, starts = gadget_from_witness(witness, a.alphabet)
+    game = Game(arena, a)
+    eve_wins = solve_game(game).winning_region.issuperset(starts)
+    return arena, starts, eve_wins, find_positional(game, starts) is not None
 
 
 def certify_nonpositional(a: Dpa, witness) -> bool:
     """Check that the witness gadget separates memory from positional.
 
-    True iff Eve wins the gadget from its start but no positional
+    True iff Eve wins the gadget from its starts but no positional
     strategy does.
     """
-    arena, start = gadget_from_witness(witness, a.alphabet)
-    game = Game(arena, a)
-    solution = solve_game(game)
-    if start not in solution.winning_region:
-        return False
-    return find_positional(game, start) is None
+    _arena, _starts, eve_wins, positional = certify(a, witness)
+    return eve_wins and not positional

@@ -20,7 +20,6 @@ from collections import deque
 from itertools import product as iproduct
 from math import prod
 import random
-import sys
 
 from .automata import RESERVED, Dpa
 from .cycles import nodes_reaching_accepting_cycle, reachable_graph
@@ -220,31 +219,37 @@ def _attract(exp: _Expanded, region: set, target, player: str):
 
 
 def _zielonka(exp: _Expanded, region: set):
-    """(eve nodes, adam nodes, chosen successor per winning owned node)."""
-    if not region:
-        return set(), set(), {}
-    d = min(exp.pri[v] for v in region)
-    player = EVE if d % 2 == 0 else ADAM
-    target = sorted(v for v in region if exp.pri[v] == d)
-    area, achoice = _attract(exp, region, target, player)
-    we, wa, choice = _zielonka(exp, region - area)
-    wopp = wa if player == EVE else we
-    if not wopp:
-        for v in area:
-            if exp.owner[v] == player and v not in achoice and v not in choice:
-                achoice[v] = next(s for s in exp.succ[v] if s in region)
-        choice.update(achoice)
-        full = set(region)
-        return (full, set(), choice) if player == EVE else (set(), full, choice)
-    other = ADAM if player == EVE else EVE
-    barrier, bchoice = _attract(exp, region, sorted(wopp), other)
-    we2, wa2, choice2 = _zielonka(exp, region - barrier)
-    kept = {v: choice[v] for v in wopp if exp.owner[v] == other and v in choice}
-    choice2.update(kept)
-    choice2.update(bchoice)
-    if other == EVE:
-        return we2 | barrier, wa2, choice2
-    return we2, wa2 | barrier, choice2
+    """(eve nodes, adam nodes, chosen successor per winning owned node).
+
+    Recursion only descends below the least priority of `region`, so its
+    depth is at most the number of distinct priorities; the opponent's
+    dominions are peeled off in a loop.
+    """
+    won = {EVE: set(), ADAM: set()}
+    choice = {}
+    while region:
+        d = min(exp.pri[v] for v in region)
+        player = EVE if d % 2 == 0 else ADAM
+        other = ADAM if player == EVE else EVE
+        target = sorted(v for v in region if exp.pri[v] == d)
+        area, achoice = _attract(exp, region, target, player)
+        we, wa, sub = _zielonka(exp, region - area)
+        wopp = wa if player == EVE else we
+        if not wopp:
+            for v in area:
+                if exp.owner[v] == player and v not in achoice and v not in sub:
+                    achoice[v] = next(s for s in exp.succ[v] if s in region)
+            choice.update(sub)
+            choice.update(achoice)
+            won[player] |= region
+            break
+        barrier, bchoice = _attract(exp, region, sorted(wopp), other)
+        choice.update((v, sub[v]) for v in wopp
+                      if exp.owner[v] == other and v in sub)
+        choice.update(bchoice)
+        won[other] |= barrier
+        region = region - barrier
+    return won[EVE], won[ADAM], choice
 
 
 class SolveResult:
@@ -262,9 +267,6 @@ class SolveResult:
 
 def solve_parity(pg: ParityGame) -> SolveResult:
     exp = _Expanded(pg)
-    depth_needed = 2 * len(exp.owner) + 100
-    if sys.getrecursionlimit() < depth_needed:
-        sys.setrecursionlimit(depth_needed)
     eve, adam, choice = _zielonka(exp, set(range(len(exp.owner))))
     if len(eve) + len(adam) != len(exp.owner):
         raise AssertionError("winning regions do not partition the game")
@@ -420,17 +422,18 @@ def verify_strategy(g: Game, s: Strategy, starts) -> bool:
     return _wins(g, s.out_edges, starts)
 
 
-def find_positional(g: Game, v0, cap: int = 10 ** 6):
-    """Smallest-index positional strategy winning from v0, or None.
+def find_positional(g: Game, starts, cap: int = 10 ** 6):
+    """Smallest-index positional strategy winning from every start, or None.
 
     Enumerates Eve's choice functions in edge-list order, skipping
-    functions that agree on the part of the arena reachable from v0,
-    and tests the plays of each remaining one; only the winning choice
-    becomes a `Strategy`, validated once.
+    functions that agree on the part of the arena reachable from the
+    starts, and tests the plays of each remaining one; only the winning
+    choice becomes a `Strategy`, validated once.
     """
     arena = g.arena
-    if v0 not in arena.owners:
-        raise PreconditionViolated("unknown vertex %r" % (v0,))
+    for v in starts:
+        if v not in arena.owners:
+            raise PreconditionViolated("unknown vertex %r" % (v,))
     eve_vertices = [v for v in arena.owners if arena.owners[v] == EVE]
     degrees = [len(arena.out_edges(v)) for v in eve_vertices]
     total = prod(degrees)
@@ -447,12 +450,12 @@ def find_positional(g: Game, v0, cap: int = 10 ** 6):
                 return [out[choice[v]]]
             return out
 
-        reach = reachable_graph([v0], moves)
+        reach = reachable_graph(starts, moves)
         signature = tuple((v, choice[v]) for v in eve_vertices if v in reach)
         if signature in seen_signatures:
             continue
         seen_signatures.add(signature)
-        if _wins(g, moves, [v0]):
+        if _wins(g, moves, starts):
             edges = [(v, letter, dst) for v in arena.owners
                      for letter, dst in moves(v)]
             strategy = Strategy(tuple(arena.owners), edges,

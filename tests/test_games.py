@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
@@ -120,6 +122,14 @@ class TestSolveGame:
                                solution.strategy.states)
 
 
+    def test_leaves_the_recursion_limit_alone(self):
+        dpa = load_dpa("ex3")
+        arena = random_arena(3000, 3, 0.5, dpa.alphabet, seed=1)
+        limit = sys.getrecursionlimit()
+        assert solve_game(Game(arena, dpa)).winning_region
+        assert sys.getrecursionlimit() == limit
+
+
 class TestStrategies:
     def game(self):
         return Game(load_arena("twoloops"), load_dpa("buchi_a"))
@@ -171,7 +181,7 @@ class TestStrategies:
 class TestFindPositional:
     def test_w2game_has_positional_win(self):
         game = Game(load_arena("w2game"), load_dpa("w2"))
-        s = find_positional(game, "center")
+        s = find_positional(game, ["center"])
         assert s is not None
         assert s.memory() == 1
         # staying at center on b or c wins; handing control back does not
@@ -180,13 +190,13 @@ class TestFindPositional:
 
     def test_infab_twoloops_has_none(self):
         game = Game(load_arena("twoloops"), load_dpa("infab"))
-        assert find_positional(game, "center") is None
+        assert find_positional(game, ["center"]) is None
 
     def test_cap(self):
         dpa = load_dpa("buchi_a")
         arena = random_arena(12, 3, 1.0, dpa.alphabet, seed=5)
         with pytest.raises(SearchSpaceTooLarge):
-            find_positional(Game(arena, dpa), "v0", cap=10)
+            find_positional(Game(arena, dpa), ["v0"], cap=10)
 
     @pytest.mark.parametrize("condition", ["buchi_a", "onea", "infab"])
     @pytest.mark.parametrize("chunk", range(4))
@@ -196,7 +206,7 @@ class TestFindPositional:
             seed = chunk * 50 + i
             arena = random_arena(4, 2, 0.7, dpa.alphabet, seed)
             game = Game(arena, dpa)
-            found = find_positional(game, "v0")
+            found = find_positional(game, ["v0"])
             solution = solve_game(game)
             if found is not None:
                 assert found.memory() == 1
@@ -219,7 +229,7 @@ class TestFindPositional:
             game = Game(arena, dpa)
             solution = solve_game(game)
             for v in sorted(solution.winning_region):
-                assert find_positional(game, v) is not None
+                assert find_positional(game, [v]) is not None
 
 
 class TestRandomArena:
