@@ -11,7 +11,10 @@ Two products with the condition are built here: the arena with the
 automaton, a parity game that Zielonka's algorithm solves
 (`product_game`), and a strategy with the complement automaton, whose
 reachable accepting cycles are the plays the strategy loses (`_wins`,
-which `verify_strategy` and `find_positional` share).
+which `verify_strategy` and `find_positional` share).  When every node
+of that product has one move, as for any strategy on an Eve-only arena,
+it is a functional graph and one linear walk decides it; otherwise the
+threshold/SCC sweep of `cycles.nodes_reaching_accepting_cycle` does.
 Both, and the plays of a fixed choice in `solve_game` and
 `find_positional`, are built by `cycles.reachable_graph`.
 """
@@ -395,7 +398,9 @@ def _wins(g: Game, out_edges, starts) -> bool:
     """Is every play from `starts` that follows `out_edges` won by Eve?
 
     The plays lose iff an even-minimum cycle of their product with the
-    complement is reachable from a start.
+    complement is reachable from a start.  When every product node has
+    one move, each start walks into exactly one cycle: one linear walk
+    decides all starts.  Otherwise the threshold/SCC sweep does.
     """
     delta = g.condition.delta
 
@@ -409,16 +414,45 @@ def _wins(g: Game, out_edges, starts) -> bool:
         return out
 
     roots = [(st, g.condition.initial) for st in starts]
-    bad = nodes_reaching_accepting_cycle(reachable_graph(roots, moves))
-    return not any(root in bad for root in roots)
+    graph = reachable_graph(roots, moves)
+    if any(len(edges) != 1 for edges in graph.values()):
+        bad = nodes_reaching_accepting_cycle(graph)
+        return not any(root in bad for root in roots)
+    won = {}  # node -> Eve wins from it; None while on the current walk
+    for root in roots:
+        path = []
+        node = root
+        while node not in won:
+            won[node] = None
+            path.append(node)
+            node = graph[node][0][1]
+        verdict = won[node]
+        if verdict is None:
+            cycle = path[path.index(node):]
+            verdict = min(graph[v][0][2][0] for v in cycle) % 2 == 1
+        for v in path:
+            won[v] = verdict
+        if not verdict:
+            return False
+    return True
+
+
+def _check_starts(starts, known, kind: str) -> None:
+    """Reject a bare string (it would be read letter by letter) and
+    starts outside `known`."""
+    if isinstance(starts, str):
+        raise PreconditionViolated(
+            "starts must be a list, not the string %r: pass [%r]"
+            % (starts, starts))
+    for st in starts:
+        if st not in known:
+            raise PreconditionViolated("unknown %s %r" % (kind, st))
 
 
 def verify_strategy(g: Game, s: Strategy, starts) -> bool:
     """Does the strategy win from every given start state?"""
     validate_strategy(g, s)
-    for st in starts:
-        if st not in s.sigma:
-            raise PreconditionViolated("unknown start state %r" % (st,))
+    _check_starts(starts, s.sigma, "start state")
     return _wins(g, s.out_edges, starts)
 
 
@@ -431,9 +465,7 @@ def find_positional(g: Game, starts, cap: int = 10 ** 6):
     choice becomes a `Strategy`, validated once.
     """
     arena = g.arena
-    for v in starts:
-        if v not in arena.owners:
-            raise PreconditionViolated("unknown vertex %r" % (v,))
+    _check_starts(starts, arena.owners, "vertex")
     eve_vertices = [v for v in arena.owners if arena.owners[v] == EVE]
     degrees = [len(arena.out_edges(v)) for v in eve_vertices]
     total = prod(degrees)

@@ -7,7 +7,7 @@ in text as ``prefix:period``; the period must be nonempty.
 
 from dataclasses import dataclass
 
-from .errors import MalformedLasso, UnknownLetter
+from .errors import MalformedLasso, ParseError, UnknownLetter
 
 _LEGAL = set("abcdefghijklmnopqrstuvwxyz0123456789")
 
@@ -22,13 +22,13 @@ class Alphabet:
     def __init__(self, letters):
         letters = tuple(letters)
         if not letters:
-            raise ValueError("alphabet must not be empty")
+            raise ParseError("alphabet must not be empty")
         seen = set()
         for c in letters:
             if len(c) != 1 or c not in _LEGAL:
-                raise ValueError("illegal letter %r: want one of [a-z0-9]" % (c,))
+                raise ParseError("illegal letter %r: want one of [a-z0-9]" % (c,))
             if c in seen:
-                raise ValueError("duplicate letter %r" % (c,))
+                raise ParseError("duplicate letter %r" % (c,))
             seen.add(c)
         self.letters = letters
         self._index = {c: i for i, c in enumerate(letters)}

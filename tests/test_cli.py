@@ -160,6 +160,14 @@ class TestErrors:
         assert rc == 2
         assert "error:" in err
 
+    def test_duplicate_letter(self, capsys, tmp_path):
+        bad = tmp_path / "dup.dpa"
+        bad.write_text("dpa v1\nalphabet a a\nstates 1\ninitial 0\n"
+                       "trans 0 a 0 0\n")
+        rc, _, err = run(capsys, "check", str(bad))
+        assert rc == 2
+        assert err.startswith("error:") and "duplicate letter" in err
+
     def test_alphabet_mismatch(self, capsys):
         rc, _, err = run(capsys, "solve", fixture_path("rabin"),
                          fixture_path("twoloops"))

@@ -1,3 +1,5 @@
+from collections import Counter
+import random
 import sys
 
 import pytest
@@ -6,8 +8,10 @@ from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
                    ParseError, PreconditionViolated, SearchSpaceTooLarge,
                    SinkVertex, Strategy, UnknownLetter,
                    find_positional, format_arena, parse_arena, random_arena,
-                   solve_game, solve_parity, validate_strategy,
-                   verify_strategy)
+                   reduce_to_positional, solve_game, solve_parity,
+                   validate_strategy, verify_strategy)
+from posit import games, reduction
+from posit.cycles import nodes_reaching_accepting_cycle, reachable_graph
 from posit.games import product_game
 from posit.fixtures import load_arena, load_dpa
 
@@ -177,6 +181,134 @@ class TestStrategies:
         with pytest.raises(PreconditionViolated, match="unknown start"):
             verify_strategy(self.game(), s, ["m1", "m2"])
 
+    def test_verify_rejects_bare_string_starts(self):
+        game = Game(load_arena("w2game"), load_dpa("w2"))
+        solution = solve_game(game)
+        with pytest.raises(PreconditionViolated,
+                           match="list, not the string 'center@0'"):
+            verify_strategy(game, solution.strategy, "center@0")
+        # a one-letter name would otherwise be read as a one-element list
+        s = Strategy(("m",), (("m", "a", "m"),), {"m": "center"})
+        assert verify_strategy(self.game(), s, ["m"])
+        with pytest.raises(PreconditionViolated,
+                           match="list, not the string 'm'"):
+            verify_strategy(self.game(), s, "m")
+
+
+def random_memory_strategy(arena, rng, max_memory=3):
+    """A strategy on an Eve-only arena with 1 to `max_memory` states over
+    each vertex; each state takes one random arena move into a random
+    state over its target."""
+    over = {v: ["%s.%d" % (v, i) for i in range(rng.randint(1, max_memory))]
+            for v in arena.owners}
+    edges = []
+    for v, states in over.items():
+        for st in states:
+            letter, dst = rng.choice(arena.out_edges(v))
+            edges.append((st, letter, rng.choice(over[dst])))
+    sigma = {st: v for v, states in over.items() for st in states}
+    return Strategy(list(sigma), edges, sigma)
+
+
+class TestWinsWalk:
+    """`_wins` decides a play graph with one move per node by a linear
+    walk; it must agree with the threshold/SCC sweep on the same graph."""
+
+    @staticmethod
+    def decide(monkeypatch, game, out_edges, starts):
+        """(verdict of `_wins`, verdict of the sweep on the graph `_wins`
+        built, whether `_wins` itself ran the sweep)."""
+        built, swept = [], []
+
+        def recording_graph(roots, moves):
+            built.append(reachable_graph(roots, moves))
+            return built[-1]
+
+        def recording_sweep(graph):
+            swept.append(graph)
+            return nodes_reaching_accepting_cycle(graph)
+
+        with monkeypatch.context() as m:
+            m.setattr(games, "reachable_graph", recording_graph)
+            m.setattr(games, "nodes_reaching_accepting_cycle", recording_sweep)
+            verdict = games._wins(game, out_edges, starts)
+        graph, = built
+        roots = {(st, game.condition.initial) for st in starts}
+        swept_verdict = not roots & nodes_reaching_accepting_cycle(graph)
+        return verdict, swept_verdict, bool(swept)
+
+    @pytest.mark.parametrize("condition", ["buchi_a", "fin_a", "rabin", "ex3"])
+    def test_walk_matches_sweep_on_eve_only_strategies(self, monkeypatch,
+                                                       condition):
+        dpa = load_dpa(condition)
+        rng = random.Random(9)
+        verdicts = Counter()
+        one_loser = 0
+        for seed in range(120):
+            game = Game(random_arena(seed % 6 + 1, 3, 1.0, dpa.alphabet, seed),
+                        dpa)
+            s = random_memory_strategy(game.arena, rng)
+            wins = {}
+            for st in s.states:
+                verdict, swept_verdict, swept = self.decide(
+                    monkeypatch, game, s.out_edges, [st])
+                assert not swept
+                assert verdict == swept_verdict
+                wins[st] = verdict
+                verdicts[verdict] += 1
+            several = rng.sample(s.states, min(len(s.states), 4))
+            lists = [several]
+            winners = [st for st in s.states if wins[st]]
+            losers = [st for st in s.states if not wins[st]]
+            if winners and losers:
+                # the only losing start comes last
+                lists.append(winners[:3] + losers[:1])
+                one_loser += 1
+            for starts in lists:
+                verdict, swept_verdict, swept = self.decide(
+                    monkeypatch, game, s.out_edges, starts)
+                assert not swept
+                assert verdict == swept_verdict
+                assert verdict == all(wins[st] for st in starts)
+                assert verify_strategy(game, s, starts) == verdict
+        assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+        assert one_loser >= 20
+
+    def test_branching_adam_vertices_take_the_sweep(self, monkeypatch):
+        game = Game(load_arena("w2game"), load_dpa("w2"))
+        s = solve_game(game).strategy
+        assert any(len(s.out_edges(st)) > 1 for st in s.states)
+        verdict, swept_verdict, swept = self.decide(
+            monkeypatch, game, s.out_edges, s.states)
+        assert swept
+        assert verdict is swept_verdict is True
+
+    def test_walk_matches_sweep_on_criterion_5_strategies(self, monkeypatch):
+        # every strategy the reduction verifies on acceptance criterion 5's
+        # 400 arenas, and each reduced strategy from all its states
+        checked = []
+
+        def recording_verify(game, s, starts):
+            checked.append((game, s, list(starts)))
+            return verify_strategy(game, s, starts)
+
+        monkeypatch.setattr(reduction, "verify_strategy", recording_verify)
+        for name in ("buchi_a", "fin_a", "rabin", "ex3"):
+            dpa = load_dpa(name)
+            for i in range(100):
+                game = Game(random_arena(i % 5 + 1, 3, 1.0, dpa.alphabet, i),
+                            dpa)
+                solution = solve_game(game)
+                reduced = reduce_to_positional(game, solution.strategy,
+                                               solution.winning_region)
+                checked.append((game, reduced, list(reduced.states)))
+        assert len(checked) > 800
+        for game, s, starts in checked:
+            verdict, swept_verdict, swept = self.decide(
+                monkeypatch, game, s.out_edges, starts)
+            assert not swept
+            assert verdict == swept_verdict
+
 
 class TestFindPositional:
     def test_w2game_has_positional_win(self):
@@ -187,6 +319,17 @@ class TestFindPositional:
         # staying at center on b or c wins; handing control back does not
         assert s.out_edges("center")[0][1] == "center"
         assert verify_strategy(game, s, ["center"])
+
+    def test_rejects_bare_string_starts(self):
+        game = Game(load_arena("w2game"), load_dpa("w2"))
+        with pytest.raises(PreconditionViolated,
+                           match="list, not the string 'center'"):
+            find_positional(game, "center")
+        # the one-letter vertex u would otherwise be read as ["u"]
+        assert find_positional(game, ["u"]) is not None
+        with pytest.raises(PreconditionViolated,
+                           match="list, not the string 'u'"):
+            find_positional(game, "u")
 
     def test_infab_twoloops_has_none(self):
         game = Game(load_arena("twoloops"), load_dpa("infab"))

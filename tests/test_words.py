@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posit import (Alphabet, LassoWord, MalformedLasso, UnknownLetter,
-                   lasso_equal, normalize, parse_lasso, prepend, unroll)
+from posit import (Alphabet, LassoWord, MalformedLasso, ParseError,
+                   UnknownLetter, lasso_equal, normalize, parse_lasso,
+                   prepend, unroll)
 
 AB = Alphabet("ab")
 
@@ -12,11 +13,11 @@ class TestAlphabet:
         assert list(Alphabet("ba")) == ["b", "a"]
 
     def test_rejects_empty_and_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Alphabet("")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Alphabet("aa")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Alphabet("aB")
 
     def test_key_sorts_by_length_then_declared_order(self):
