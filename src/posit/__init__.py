@@ -9,11 +9,11 @@ from .automata import (Dpa, complement_shift, format_dpa, member,
                        member_from, parse_dpa, reachable_states,
                        residual_graph, residual_included, run_finite)
 from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
-                     InvalidStrategy, InvalidWitness, MalformedLasso,
-                     MergeBrokeWinning, MonoidTooLarge, NotEveOnly,
-                     ParseError, PositError, PreconditionViolated,
-                     SearchSpaceTooLarge, SinkVertex, UnknownLetter,
-                     WitnessRecheckFailed)
+                     InvalidSetting, InvalidStrategy, InvalidWitness,
+                     MalformedLasso, MergeBrokeWinning, MonoidTooLarge,
+                     NotEveOnly, ParseError, PositError,
+                     PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
+                     UnknownLetter, WitnessRecheckFailed)
 from .gadgets import certify_nonpositional, gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
@@ -31,8 +31,8 @@ from .words import Alphabet, LassoWord, lasso_equal, normalize, parse_lasso, \
 
 __all__ = [
     "ADAM", "Alphabet", "AlphabetMismatch", "Arena", "Comparison", "Dpa",
-    "EVE", "Game", "IncomparableLassos", "InvalidPlan", "InvalidStrategy",
-    "InvalidWitness", "LassoWord", "MalformedLasso", "MergeBrokeWinning",
+    "EVE", "Game", "IncomparableLassos", "InvalidPlan", "InvalidSetting",
+    "InvalidStrategy", "InvalidWitness", "LassoWord", "MalformedLasso", "MergeBrokeWinning",
     "MergePlan", "MonoidTooLarge", "NotEveOnly", "ParseError", "PositError",
     "PositionalityVerdict", "PreconditionViolated", "PriorityMonoid",
     "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",

@@ -106,7 +106,12 @@ def parse_dpa(text: str) -> Dpa:
             if names is not None:
                 raise ParseError("line %d: duplicate states" % no)
             if len(rest) == 1 and rest[0].isdigit():
-                names = tuple(str(i) for i in range(int(rest[0])))
+                try:
+                    count = int(rest[0])
+                except ValueError:
+                    raise ParseError("line %d: bad state count %r"
+                                     % (no, rest[0])) from None
+                names = tuple(str(i) for i in range(count))
             elif rest:
                 names = tuple(rest)
             else:

@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .automata import member, parse_dpa, residual_included
-from .errors import (IncomparableLassos, MergeBrokeWinning, NotEveOnly,
-                     PositError, PreconditionViolated, SinkVertex,
-                     WitnessRecheckFailed)
+from .errors import (IncomparableLassos, InvalidWitness, MergeBrokeWinning,
+                     NotEveOnly, ParseError, PositError, PreconditionViolated,
+                     SinkVertex, WitnessRecheckFailed)
 from .fixtures import data_dir, fixture_path
 from .gadgets import certify
 from .games import (Game, format_arena, parse_arena, random_arena, solve_game,
@@ -30,12 +30,19 @@ _DOMAIN_ERRORS = (SinkVertex, NotEveOnly, IncomparableLassos,
                   MergeBrokeWinning, PreconditionViolated)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not UTF-8 text (%s)" % (path, exc)) from None
+
+
 def _load_dpa(path: str):
-    return parse_dpa(Path(path).read_text())
+    return parse_dpa(_read(path))
 
 
 def _load_arena(path: str):
-    return parse_arena(Path(path).read_text())
+    return parse_arena(_read(path))
 
 
 def cmd_check(args) -> int:
@@ -126,7 +133,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_gadget(args) -> int:
     a = _load_dpa(args.dpa)
-    witness = witness_from_dict(json.loads(args.witness), a.alphabet)
+    try:
+        payload = json.loads(args.witness)
+    except json.JSONDecodeError as exc:
+        raise InvalidWitness("witness is not JSON: %s" % exc) from None
+    witness = witness_from_dict(payload, a.alphabet)
     arena, starts, eve_wins, positional = certify(a, witness)
     if args.arena_out:
         Path(args.arena_out).write_text(format_arena(arena))

@@ -21,6 +21,10 @@ class AlphabetMismatch(PositError):
     """Two objects that must share an alphabet do not."""
 
 
+class InvalidSetting(PositError):
+    """An environment variable holds a value the package cannot use."""
+
+
 class MonoidTooLarge(PositError):
     """Word behavior closure exceeded the configured element cap."""
 

@@ -13,8 +13,12 @@ automaton, a parity game that Zielonka's algorithm solves
 reachable accepting cycles are the plays the strategy loses (`_wins`,
 which `verify_strategy` and `find_positional` share).  When every node
 of that product has one move, as for any strategy on an Eve-only arena,
-it is a functional graph and one linear walk decides it; otherwise the
-threshold/SCC sweep of `cycles.nodes_reaching_accepting_cycle` does.
+it is a functional graph and the linear walk `_walk` decides it;
+otherwise the threshold/SCC sweep of
+`cycles.nodes_reaching_accepting_cycle` does.  `_walk` takes a successor
+function and a verdict memo, so the merge loop of
+`reduction.reduce_to_positional` runs the same walk on its working map
+and keeps the memo across merges.
 Both, and the plays of a fixed choice in `solve_game` and
 `find_positional`, are built by `cycles.reachable_graph`.
 """
@@ -394,13 +398,49 @@ def solve_game(g: Game) -> GameSolution:
                         [_mstate(g, v, q0) for v in region])
 
 
+def _walk(node, step, memo) -> bool:
+    """Does Eve win from `node` of a play × complement graph in which
+    every node has one move, `step(node) -> (next node, priority)`?
+
+    The walk follows single moves until it meets a node of `memo` or
+    closes a cycle on its own path.  That cycle's least complement
+    priority decides (odd: Eve wins), and every node of the path enters
+    `memo` with the verdict, so walks from many starts cost O(nodes)
+    together.
+    """
+    path, pris = [], []
+    while node not in memo:
+        memo[node] = None  # on the current walk
+        path.append(node)
+        node, pri = step(node)
+        pris.append(pri)
+    verdict = memo[node]
+    if verdict is None:
+        verdict = min(pris[path.index(node):]) % 2 == 1
+    for v in path:
+        memo[v] = verdict
+    return verdict
+
+
+def _one_move_step(g: Game, move):
+    """`_walk`'s step on the play × complement graph of a strategy whose
+    state st has the single move `move(st) -> (letter, dst)`."""
+    delta = g.condition.delta
+
+    def step(node):
+        letter, dst = move(node[0])
+        q2, pri = delta[node[1]][letter]
+        return (dst, q2), pri + 1  # the complement_shift priority
+    return step
+
+
 def _wins(g: Game, out_edges, starts) -> bool:
     """Is every play from `starts` that follows `out_edges` won by Eve?
 
     The plays lose iff an even-minimum cycle of their product with the
     complement is reachable from a start.  When every product node has
-    one move, each start walks into exactly one cycle: one linear walk
-    decides all starts.  Otherwise the threshold/SCC sweep does.
+    one move, each start walks into exactly one cycle and `_walk`
+    decides them all.  Otherwise the threshold/SCC sweep does.
     """
     delta = g.condition.delta
 
@@ -418,23 +458,10 @@ def _wins(g: Game, out_edges, starts) -> bool:
     if any(len(edges) != 1 for edges in graph.values()):
         bad = nodes_reaching_accepting_cycle(graph)
         return not any(root in bad for root in roots)
-    won = {}  # node -> Eve wins from it; None while on the current walk
-    for root in roots:
-        path = []
-        node = root
-        while node not in won:
-            won[node] = None
-            path.append(node)
-            node = graph[node][0][1]
-        verdict = won[node]
-        if verdict is None:
-            cycle = path[path.index(node):]
-            verdict = min(graph[v][0][2][0] for v in cycle) % 2 == 1
-        for v in path:
-            won[v] = verdict
-        if not verdict:
-            return False
-    return True
+    step = {node: (edges[0][1], edges[0][2][0])
+            for node, edges in graph.items()}
+    memo = {}
+    return all(_walk(root, step.__getitem__, memo) for root in roots)
 
 
 def _check_starts(starts, known, kind: str) -> None:

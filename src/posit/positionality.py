@@ -26,15 +26,20 @@ from itertools import combinations, product as iproduct
 from .automata import (Dpa, member, member_from, reachable_states,
                        residual_graph)
 from .cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
-from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
-                     WitnessRecheckFailed)
+from .errors import (InvalidSetting, InvalidWitness, MonoidTooLarge,
+                     PreconditionViolated, WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 DEFAULT_MONOID_CAP = 100_000
 
 
 def monoid_cap() -> int:
-    return int(os.environ.get("POSIT_MONOID_CAP", DEFAULT_MONOID_CAP))
+    text = os.environ.get("POSIT_MONOID_CAP", str(DEFAULT_MONOID_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidSetting("POSIT_MONOID_CAP must be an integer, not %r"
+                             % text) from None
 
 
 class PriorityMonoid:

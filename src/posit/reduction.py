@@ -6,14 +6,27 @@ lasso.  Two states over the same vertex can always be merged by keeping
 the one whose future compares at least as high in the lasso preorder of
 the condition; for positional conditions this never breaks winning, and
 repeating it reaches memory one.
+
+`reduce_to_positional` validates and verifies the strategy once, then
+merges in place on a private working map (one move per state, with a
+predecessor index).  A merge changes only the plays of the states that
+can reach the dropped state, so each merge redirects the dropped state's
+predecessors, forgets the walk verdicts of that backward cone and
+re-walks the cone's region states with `games._walk`, the walk that
+`verify_strategy` uses; a loss raises MergeBrokeWinning.  Pairs come
+from per-vertex buckets and a heap, in the order of a scan over the
+sorted states, and the result is built once, in the input's order, so
+it equals a fresh `merge` and `verify_strategy` after every step.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .automata import Dpa
-from .errors import (IncomparableLassos, InvalidPlan, MergeBrokeWinning,
-                     NotEveOnly, PreconditionViolated)
-from .games import Game, Strategy, validate_strategy, verify_strategy
+from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
+                     MergeBrokeWinning, NotEveOnly, PreconditionViolated)
+from .games import (Game, Strategy, _one_move_step, _walk,
+                    validate_strategy, verify_strategy)
 from .positionality import compare_lassos
 from .words import LassoWord
 
@@ -162,47 +175,134 @@ def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
     return MergePlan(keep, drop, case, tuple(comparisons))
 
 
-def _least_shared_pair(s: Strategy):
-    """The least pair (p, q), p < q over one vertex: least p, then least
-    q; None when no vertex holds two states.  One pass over the sorted
-    states, remembering the first state seen on each vertex."""
-    first = {}
-    best = None
-    for q in sorted(s.states):
-        p = first.setdefault(s.sigma[q], q)
-        if p != q and (best is None or p < best[0]):
-            best = (p, q)
-    return best
+class _SharedPairs:
+    """The states over each vertex in sorted buckets, and a heap of each
+    bucket's two least states with its vertex.  The heap's top is the
+    least pair (p, q), p < q over one vertex: least p, then least q (a
+    bucket's least state is its only candidate for p)."""
+
+    def __init__(self, sigma: dict):
+        self._buckets = {}
+        for st in sorted(sigma):
+            self._buckets.setdefault(sigma[st], []).append(st)
+        self._heap = [(b[0], b[1], v) for v, b in self._buckets.items()
+                      if len(b) > 1]
+        heapq.heapify(self._heap)
+
+    def least(self):
+        """The least pair, or None when no vertex holds two states."""
+        return self._heap[0][:2] if self._heap else None
+
+    def remove(self, st) -> None:
+        """Take `st` out of the least pair's bucket.  Only that bucket
+        changes, so the heap never holds a stale entry."""
+        v = self._heap[0][2]
+        bucket = self._buckets[v]
+        bucket.remove(st)
+        if len(bucket) > 1:
+            heapq.heapreplace(self._heap, (bucket[0], bucket[1], v))
+        else:
+            heapq.heappop(self._heap)
+
+
+class _Working:
+    """A strategy with one move per state, merged in place.
+
+    `move` sends each state to its single (letter, dst) and `preds`
+    indexes the states moving into each state.  `sigma` and
+    `out_edges` are all that `choose_merge`, `path_word` and
+    `unique_path_lasso` read, so they take this view as a strategy.
+    """
+
+    def __init__(self, g: Game, s: Strategy):
+        self.arena_edges = set(g.arena.edges)
+        self.sigma = dict(s.sigma)
+        self.move = {st: _only_edge(s, st) for st in s.states}
+        self.preds = {st: set() for st in s.states}
+        for src, (_letter, dst) in self.move.items():
+            self.preds[dst].add(src)
+
+    def out_edges(self, st):
+        return [self.move[st]]
+
+    def merge(self, plan: MergePlan) -> list:
+        """Apply `plan` in place, with the checks of `merge`, and return
+        the surviving states whose plays passed through `plan.drop`:
+        the only states whose plays the merge changes."""
+        keep, drop = plan.keep, plan.drop
+        if keep not in self.sigma or drop not in self.sigma:
+            raise InvalidPlan("plan names an unknown state")
+        if keep == drop:
+            raise InvalidPlan("cannot merge a state with itself")
+        if self.sigma[keep] != self.sigma[drop]:
+            raise InvalidPlan("states %r and %r sit on different vertices"
+                              % (keep, drop))
+        cone = {drop}
+        todo = [drop]
+        while todo:
+            for src in self.preds[todo.pop()]:
+                if src not in cone:
+                    cone.add(src)
+                    todo.append(src)
+        cone.discard(drop)
+        self.preds[self.move[drop][1]].discard(drop)
+        for src in self.preds.pop(drop):
+            letter, _dst = self.move[src]
+            if (self.sigma[src], letter, self.sigma[keep]) \
+                    not in self.arena_edges:
+                raise InvalidStrategy(
+                    "edge (%s, %s, %s) does not project onto the arena"
+                    % (src, letter, keep))
+            self.move[src] = (letter, keep)
+            self.preds[keep].add(src)
+        del self.move[drop], self.sigma[drop]
+        return list(cone)
+
+    def strategy(self, s: Strategy) -> Strategy:
+        """The working map as a `Strategy`, in the state, edge and sigma
+        order of the strategy `s` it started from."""
+        alive = self.sigma
+        return Strategy([st for st in s.states if st in alive],
+                        [(src,) + self.move[src] for src, _l, _d in s.edges
+                         if src in alive],
+                        {st: v for st, v in s.sigma.items() if st in alive})
 
 
 def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
     """Merge memory states until each vertex of `region` keeps only one.
 
     Requires an Eve-only arena and a strategy winning from every memory
-    state over the region; each merge is re-verified and a failure
-    raises MergeBrokeWinning.
+    state over the region.  Each merge re-walks the play of every region
+    state it can change, and a loss raises MergeBrokeWinning.
     """
     if not g.arena.eve_only():
         raise NotEveOnly("reduction needs an Eve-only arena")
     validate_strategy(g, s)
     region = set(region)
-
-    def region_states(strat):
-        return [st for st in strat.states if strat.sigma[st] in region]
-
-    if not verify_strategy(g, s, region_states(s)):
+    if not verify_strategy(g, s, [st for st in s.states
+                                  if s.sigma[st] in region]):
         raise PreconditionViolated(
             "strategy must win from every memory state over the region")
+    work = _Working(g, s)
+    pairs = _SharedPairs(s.sigma)
+    step = _one_move_step(g, work.move.__getitem__)
+    q0, n = g.condition.initial, g.condition.n
+    memo = {}  # (state, automaton state) -> Eve wins the play from it
     while True:
-        pair = _least_shared_pair(s)
+        pair = pairs.least()
         if pair is None:
-            return s
-        plan = choose_merge(s, g.condition, *pair)
-        merged = merge(s, plan)
-        if len(merged.states) != len(s.states) - 1:
+            return work.strategy(s)
+        plan = choose_merge(work, g.condition, *pair)
+        before = len(work.sigma)
+        cone = work.merge(plan)
+        if len(work.sigma) != before - 1:
             raise AssertionError("merge did not remove exactly one state")
-        if not verify_strategy(g, merged, region_states(merged)):
-            raise MergeBrokeWinning(
-                "merging %r into %r (case %d) broke the strategy"
-                % (plan.drop, plan.keep, plan.case))
-        s = merged
+        pairs.remove(plan.drop)
+        for st in cone + [plan.drop]:
+            for q in range(n):
+                memo.pop((st, q), None)
+        for st in cone:
+            if work.sigma[st] in region and not _walk((st, q0), step, memo):
+                raise MergeBrokeWinning(
+                    "merging %r into %r (case %d) broke the strategy"
+                    % (plan.drop, plan.keep, plan.case))

@@ -10,9 +10,11 @@ written out again by hand so a typo in either copy shows up.
 import random
 from itertools import product
 
-from posit import (Alphabet, Dpa, LassoWord, PropertyReport, Witness1,
-                   Witness2, Witness3, complement_shift, member_from, prepend,
-                   reachable_states)
+from posit import (Alphabet, Dpa, LassoWord, MergeBrokeWinning, NotEveOnly,
+                   PreconditionViolated, PropertyReport, Witness1, Witness2,
+                   Witness3, choose_merge, complement_shift, member_from,
+                   merge, prepend, reachable_states, validate_strategy,
+                   verify_strategy)
 from posit.cycles import accepting_lasso_from
 
 EVE = "E"
@@ -449,3 +451,49 @@ def brute_eve_region(owners: dict, edges: dict):
                     stack.append(u)
         won |= {v for v in nodes if v not in bad}
     return won
+
+
+# ---------------------------------------------------------------------------
+# the merge loop with a full copy and re-verification after every merge
+
+def ref_least_shared_pair(sigma: dict):
+    """The least pair (p, q), p < q over one vertex under `sigma`: least
+    p, then least q; None when no vertex holds two states.  One pass over
+    the sorted states, remembering the first state seen on each vertex."""
+    first = {}
+    best = None
+    for q in sorted(sigma):
+        p = first.setdefault(sigma[q], q)
+        if p != q and (best is None or p < best[0]):
+            best = (p, q)
+    return best
+
+
+def ref_reduce(g, s, region):
+    """`reduce_to_positional` as a fresh `merge` and a whole
+    `verify_strategy` after each merge: quadratic, but each step is the
+    public definition."""
+    if not g.arena.eve_only():
+        raise NotEveOnly("reduction needs an Eve-only arena")
+    validate_strategy(g, s)
+    region = set(region)
+
+    def region_states(strat):
+        return [st for st in strat.states if strat.sigma[st] in region]
+
+    if not verify_strategy(g, s, region_states(s)):
+        raise PreconditionViolated(
+            "strategy must win from every memory state over the region")
+    while True:
+        pair = ref_least_shared_pair(s.sigma)
+        if pair is None:
+            return s
+        plan = choose_merge(s, g.condition, *pair)
+        merged = merge(s, plan)
+        if len(merged.states) != len(s.states) - 1:
+            raise AssertionError("merge did not remove exactly one state")
+        if not verify_strategy(g, merged, region_states(merged)):
+            raise MergeBrokeWinning(
+                "merging %r into %r (case %d) broke the strategy"
+                % (plan.drop, plan.keep, plan.case))
+        s = merged

@@ -168,6 +168,32 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("error:") and "duplicate letter" in err
 
+    def test_state_count_int_rejects(self, capsys, tmp_path):
+        # '²' passes str.isdigit but not int
+        bad = tmp_path / "square.dpa"
+        bad.write_text("dpa v1\nalphabet a\nstates ²\ninitial 0\n"
+                       "trans 0 a 0 0\n", encoding="utf-8")
+        rc, _, err = run(capsys, "check", str(bad))
+        assert (rc, err) == (2, "error: line 3: bad state count '²'\n")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.arena"
+        bad.write_bytes(b"arena v1\n# caf\xe9\n")
+        rc, _, err = run(capsys, "solve", fixture_path("buchi_a"), str(bad))
+        assert rc == 2
+        assert err.startswith("error: %s is not UTF-8 text" % bad)
+
+    def test_witness_not_json(self, capsys):
+        rc, _, err = run(capsys, "gadget", fixture_path("w2"), "{oops")
+        assert rc == 2
+        assert err.startswith("error: witness is not JSON: ")
+
+    def test_monoid_cap_not_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSIT_MONOID_CAP", "lots")
+        rc, _, err = run(capsys, "check", fixture_path("w2"))
+        assert (rc, err) == (
+            2, "error: POSIT_MONOID_CAP must be an integer, not 'lots'\n")
+
     def test_alphabet_mismatch(self, capsys):
         rc, _, err = run(capsys, "solve", fixture_path("rabin"),
                          fixture_path("twoloops"))

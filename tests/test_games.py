@@ -6,15 +6,15 @@ import pytest
 
 from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
                    ParseError, PreconditionViolated, SearchSpaceTooLarge,
-                   SinkVertex, Strategy, UnknownLetter,
-                   find_positional, format_arena, parse_arena, random_arena,
-                   reduce_to_positional, solve_game, solve_parity,
-                   validate_strategy, verify_strategy)
-from posit import games, reduction
+                   SinkVertex, Strategy, UnknownLetter, find_positional,
+                   format_arena, parse_arena, random_arena, solve_game,
+                   solve_parity, validate_strategy, verify_strategy)
+from posit import games
 from posit.cycles import nodes_reaching_accepting_cycle, reachable_graph
 from posit.games import product_game
 from posit.fixtures import load_arena, load_dpa
 
+import oracles
 from oracles import brute_eve_region
 
 SMALL = """\
@@ -284,23 +284,24 @@ class TestWinsWalk:
         assert verdict is swept_verdict is True
 
     def test_walk_matches_sweep_on_criterion_5_strategies(self, monkeypatch):
-        # every strategy the reduction verifies on acceptance criterion 5's
-        # 400 arenas, and each reduced strategy from all its states
+        # every intermediate strategy of the merge loop on acceptance
+        # criterion 5's 400 arenas (the reference loop verifies each one
+        # whole), and each reduced strategy from all its states
         checked = []
 
         def recording_verify(game, s, starts):
             checked.append((game, s, list(starts)))
             return verify_strategy(game, s, starts)
 
-        monkeypatch.setattr(reduction, "verify_strategy", recording_verify)
+        monkeypatch.setattr(oracles, "verify_strategy", recording_verify)
         for name in ("buchi_a", "fin_a", "rabin", "ex3"):
             dpa = load_dpa(name)
             for i in range(100):
                 game = Game(random_arena(i % 5 + 1, 3, 1.0, dpa.alphabet, i),
                             dpa)
                 solution = solve_game(game)
-                reduced = reduce_to_positional(game, solution.strategy,
-                                               solution.winning_region)
+                reduced = oracles.ref_reduce(game, solution.strategy,
+                                             solution.winning_region)
                 checked.append((game, reduced, list(reduced.states)))
         assert len(checked) > 800
         for game, s, starts in checked:

@@ -7,14 +7,18 @@ from pathlib import Path
 import pytest
 
 import posit
-from posit import (Game, IncomparableLassos, InvalidPlan, LassoWord,
-                   MergeBrokeWinning, MergePlan, NotEveOnly,
-                   PreconditionViolated, Strategy, choose_merge, lasso_equal,
-                   merge, parse_arena, path_word, random_arena,
+from posit import reduction
+from posit import (Game, IncomparableLassos, InvalidPlan, InvalidStrategy,
+                   LassoWord, MergeBrokeWinning, MergePlan, NotEveOnly,
+                   PositError, PreconditionViolated, Strategy, choose_merge,
+                   lasso_equal, merge, parse_arena, path_word, random_arena,
                    reduce_to_positional, solve_game, unique_path_lasso,
                    verify_strategy)
 from posit.fixtures import load_arena, load_dpa
-from posit.reduction import _least_shared_pair
+from posit.reduction import _SharedPairs, _Working
+
+import oracles
+from oracles import ref_least_shared_pair, ref_reduce
 
 
 def loop_strategy(edges):
@@ -73,6 +77,68 @@ class TestMerge:
                      {"m1": "u", "m2": "center"})
         with pytest.raises(InvalidPlan, match="different vertices"):
             merge(s, MergePlan(keep="m1", drop="m2", case=1))
+
+
+class TestWorkingMerge:
+    """The merge loop's in-place merge step against the public `merge`."""
+
+    def test_matches_merge_and_reports_the_changed_plays(self):
+        rng = random.Random(5)
+        merges = changed = 0
+        for name in ("ex3", "infab"):
+            dpa = load_dpa(name)
+            for seed in range(40):
+                game = Game(random_arena(seed % 8 + 2, 3, 1.0, dpa.alphabet,
+                                         seed), dpa)
+                s = origin = solve_game(game).strategy
+                work = _Working(game, s)
+                while True:
+                    pairs = [(p, q) for p in s.states for q in s.states
+                             if p != q and s.sigma[p] == s.sigma[q]]
+                    if not pairs:
+                        break
+                    keep, drop = rng.choice(pairs)
+                    plan = MergePlan(keep=keep, drop=drop, case=1)
+                    passing = {st for st in s.states if st != drop
+                               and path_word(s, st, drop) is not None}
+                    assert set(work.merge(plan)) == passing
+                    s = merge(s, plan)
+                    built = work.strategy(origin)
+                    assert (built.states, built.edges) == (s.states, s.edges)
+                    assert list(built.sigma.items()) == list(s.sigma.items())
+                    merges += 1
+                    changed += len(passing)
+        assert merges > 100 and changed > merges
+
+    @pytest.mark.parametrize("keep, drop, message", [
+        ("m1", "m9", "unknown"),
+        ("m1", "m1", "itself"),
+    ])
+    def test_invalid_plans(self, keep, drop, message):
+        game = Game(load_arena("twoloops"), load_dpa("buchi_a"))
+        work = _Working(game, loop_strategy([("m1", "a", "m2"),
+                                             ("m2", "b", "m2")]))
+        with pytest.raises(InvalidPlan, match=message):
+            work.merge(MergePlan(keep=keep, drop=drop, case=1))
+
+    def test_different_vertices_rejected(self):
+        arena = parse_arena("arena v1\nalphabet a b\nvertex u E\n"
+                            "vertex center E\nedge u a center\n"
+                            "edge center b center\n")
+        s = Strategy(("m1", "m2"), (("m1", "a", "m2"), ("m2", "b", "m2")),
+                     {"m1": "u", "m2": "center"})
+        work = _Working(Game(arena, load_dpa("buchi_a")), s)
+        with pytest.raises(InvalidPlan, match="different vertices"):
+            work.merge(MergePlan(keep="m1", drop="m2", case=1))
+
+    def test_redirected_edges_must_project(self):
+        game = Game(load_arena("twoloops"), load_dpa("buchi_a"))
+        work = _Working(game, loop_strategy([("m1", "a", "m2"),
+                                             ("m2", "b", "m2")]))
+        # m1's a move would be redirected to m1 itself
+        work.arena_edges.discard(("center", "a", "center"))
+        with pytest.raises(InvalidStrategy, match="does not project"):
+            work.merge(MergePlan(keep="m1", drop="m2", case=2))
 
 
 class TestChooseMerge:
@@ -145,20 +211,33 @@ def shuffled_names(s: Strategy, rng) -> Strategy:
 
 class TestLeastSharedPair:
     def test_matches_minimum_over_all_pairs(self):
+        # after building, and after each removal of a random state of the
+        # least pair, as the merge loop removes the dropped one
         rng = random.Random(0)
-        found = 0
+        found = removals = 0
         for name in ("ex3", "res", "infab"):
             a = load_dpa(name)
             for seed in range(30):
                 arena = random_arena(8, 3, 0.5, a.alphabet, seed=seed)
                 s = shuffled_names(solve_game(Game(arena, a)).strategy, rng)
-                brute = min(((p, q) for p in s.states for q in s.states
-                             if p < q and s.sigma[p] == s.sigma[q]),
-                            default=None)
-                assert _least_shared_pair(s) == brute
-                found += brute is not None
+                sigma = dict(s.sigma)
+                pairs = _SharedPairs(sigma)
+                found += ref_least_shared_pair(sigma) is not None
+                while True:
+                    pair = pairs.least()
+                    brute = min(((p, q) for p in sigma for q in sigma
+                                 if p < q and sigma[p] == sigma[q]),
+                                default=None)
+                    assert pair == brute == ref_least_shared_pair(sigma)
+                    if pair is None:
+                        break
+                    drop = rng.choice(pair)
+                    pairs.remove(drop)
+                    del sigma[drop]
+                    removals += 1
         # both outcomes occur often enough for the comparison to bite
         assert 10 < found < 80
+        assert removals > 100
 
 
 class TestReduce:
@@ -212,12 +291,13 @@ class TestReduce:
                                  solution.winning_region)
 
     def test_state_count_check_runs_under_optimize(self):
-        # a merge that drops no state is an internal bug, even under -O
+        # an in-place merge step that drops no state is an internal bug,
+        # even under -O
         code = "\n".join((
             "import posit.reduction as R",
             "from posit.fixtures import load_arena, load_dpa",
             "from posit.games import Game, Strategy",
-            "R.merge = lambda s, plan: s",
+            "R._Working.merge = lambda self, plan: []",
             "game = Game(load_arena('twoloops'), load_dpa('fin_a'))",
             "s = Strategy(('m1', 'm2'), (('m1', 'a', 'm2'), ('m2', 'b', 'm2')),",
             "             {'m1': 'center', 'm2': 'center'})",
@@ -239,3 +319,89 @@ class TestReduce:
         s = loop_strategy([("m1", "a", "m1"), ("m2", "b", "m2")])
         with pytest.raises(PreconditionViolated):
             reduce_to_positional(game, s, {"center"})
+
+
+def outcome(reduce, game, s, region):
+    """The reduced strategy's states, edges and sigma, or the exception's
+    type and message."""
+    try:
+        r = reduce(game, s, region)
+    except PositError as exc:
+        return type(exc).__name__, str(exc)
+    return r.states, r.edges, list(r.sigma.items())
+
+
+class TestIncrementalMatchesReference:
+    """The merge loop re-walks only the plays a merge can change; the
+    reference copies the strategy and re-verifies all of it after every
+    merge.  Results and exceptions must be equal."""
+
+    @staticmethod
+    def check(game, s, region):
+        got = outcome(reduce_to_positional, game, s, region)
+        assert got == outcome(ref_reduce, game, s, region)
+        return got
+
+    def test_criterion_5_arenas(self):
+        merged = 0
+        for name in ("buchi_a", "fin_a", "rabin", "ex3"):
+            dpa = load_dpa(name)
+            for i in range(100):
+                game = Game(random_arena(i % 5 + 1, 3, 1.0, dpa.alphabet, i),
+                            dpa)
+                solution = solve_game(game)
+                states = self.check(game, solution.strategy,
+                                    solution.winning_region)[0]
+                merged += len(solution.strategy.states) - len(states)
+        assert merged > 100
+
+    def test_ex3_arena_of_400_vertices(self):
+        ex3 = load_dpa("ex3")
+        game = Game(random_arena(400, 3, 1.0, ex3.alphabet, seed=7), ex3)
+        solution = solve_game(game)
+        states = self.check(game, solution.strategy,
+                            solution.winning_region)[0]
+        assert len(solution.strategy.states) - len(states) > 250
+
+    def test_twoloops_infab_breaks(self):
+        game = Game(load_arena("twoloops"), load_dpa("infab"))
+        solution = solve_game(game)
+        got = self.check(game, solution.strategy, solution.winning_region)
+        assert got[0] == "MergeBrokeWinning"
+
+    def test_forced_merge_breaks_one_changed_state(self, monkeypatch):
+        # onea is "some a, then finitely many": k -b-> d -a-> e -b-> e,
+        # and each w reads a into k.  Merging d into k leaves k with b^omega
+        # alone, lost, while every w still reads one a first: all ten
+        # states' plays change and only k's loses.
+        arena = parse_arena("arena v1\nalphabet a b\nvertex c E\n"
+                            "vertex e E\nedge c a c\nedge c b c\n"
+                            "edge c a e\nedge e b e\n")
+        game = Game(arena, load_dpa("onea"))
+        winners = ["w%d" % i for i in range(9)]
+        sigma = {st: "c" for st in ["d", "k"] + winners}
+        sigma["e"] = "e"
+        s = Strategy(sigma, [("k", "b", "d"), ("d", "a", "e"),
+                             ("e", "b", "e")]
+                     + [(w, "a", "k") for w in winners], sigma)
+        plan = MergePlan(keep="k", drop="d", case=2)
+        for module in (reduction, oracles):
+            monkeypatch.setattr(module, "choose_merge", lambda *args: plan)
+        got = self.check(game, s, {"c"})
+        assert got == ("MergeBrokeWinning",
+                       "merging 'd' into 'k' (case 2) broke the strategy")
+
+    @pytest.mark.parametrize("name", ["onea", "infab", "w2", "res"])
+    def test_conditions_needing_memory(self, name):
+        # merges may break these strategies; on the infab and w2 arenas
+        # some breaks show only at states more than one move before the
+        # dropped state, or through walk verdicts of earlier merges
+        dpa = load_dpa(name)
+        kinds = set()
+        for i in range(300):
+            game = Game(random_arena(i % 25 + 1, 3, 1.0, dpa.alphabet, i),
+                        dpa)
+            solution = solve_game(game)
+            got = self.check(game, solution.strategy, solution.winning_region)
+            kinds.add(got[0] if isinstance(got[0], str) else "reduced")
+        assert "reduced" in kinds
