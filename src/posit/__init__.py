@@ -24,8 +24,7 @@ from .positionality import (Comparison, PositionalityVerdict,
                             check_property1, check_property2,
                             check_property3, compare_lassos,
                             verify_order_laws, witness_from_dict)
-from .reduction import (MergePlan, choose_merge, merge, path_word,
-                        reduce_to_positional, unique_path_lasso)
+from .reduction import MergePlan, choose_merge, reduce_to_positional
 from .words import Alphabet, LassoWord, lasso_equal, normalize, parse_lasso, \
     prepend, unroll
 
@@ -41,10 +40,10 @@ __all__ = [
     "certify_nonpositional", "check_positional", "check_property1",
     "check_property2", "check_property3", "choose_merge", "compare_lassos",
     "complement_shift", "find_positional", "format_arena", "format_dpa",
-    "gadget_from_witness", "lasso_equal", "member", "member_from", "merge",
-    "normalize", "parse_arena", "parse_dpa", "parse_lasso", "path_word",
-    "prepend", "random_arena", "reachable_states", "reduce_to_positional",
+    "gadget_from_witness", "lasso_equal", "member", "member_from",
+    "normalize", "parse_arena", "parse_dpa", "parse_lasso", "prepend",
+    "random_arena", "reachable_states", "reduce_to_positional",
     "residual_graph", "residual_included", "run_finite", "solve_game",
-    "solve_parity", "unique_path_lasso", "unroll", "validate_strategy",
+    "solve_parity", "unroll", "validate_strategy",
     "verify_order_laws", "verify_strategy", "witness_from_dict",
 ]

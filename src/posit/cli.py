@@ -140,7 +140,7 @@ def cmd_gadget(args) -> int:
     witness = witness_from_dict(payload, a.alphabet)
     arena, starts, eve_wins, positional = certify(a, witness)
     if args.arena_out:
-        Path(args.arena_out).write_text(format_arena(arena))
+        Path(args.arena_out).write_text(format_arena(arena), encoding="utf-8")
     certified = eve_wins and not positional
     print("start: %s" % ",".join(starts))
     print("eve wins: %s" % ("true" if eve_wins else "false"))
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (PositError, OSError, KeyError, ValueError) as exc:
+    except (PositError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

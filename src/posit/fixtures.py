@@ -3,6 +3,7 @@
 from importlib.resources import as_file, files
 
 from .automata import Dpa, parse_dpa
+from .errors import PositError
 from .games import Arena, parse_arena
 
 DPA_NAMES = ("buchi_a", "fin_a", "onea", "infab", "rabin", "w2", "res", "ex3")
@@ -14,26 +15,24 @@ def data_dir() -> str:
         return str(path)
 
 
+def _data_file(name: str, names, kind: str):
+    """The bundled file of fixture `name`, which must be one of `names`."""
+    if name not in names:
+        raise PositError("unknown %s %r" % (kind, name))
+    suffix = ".dpa" if name in DPA_NAMES else ".arena"
+    return files("posit") / "data" / (name + suffix)
+
+
 def fixture_path(name: str) -> str:
-    if name in DPA_NAMES:
-        filename = name + ".dpa"
-    elif name in ARENA_NAMES:
-        filename = name + ".arena"
-    else:
-        raise KeyError("unknown fixture %r" % name)
-    with as_file(files("posit") / "data" / filename) as path:
+    with as_file(_data_file(name, DPA_NAMES + ARENA_NAMES, "fixture")) as path:
         return str(path)
 
 
 def load_dpa(name: str) -> Dpa:
-    if name not in DPA_NAMES:
-        raise KeyError("unknown automaton fixture %r" % name)
-    text = (files("posit") / "data" / (name + ".dpa")).read_text()
-    return parse_dpa(text)
+    return parse_dpa(_data_file(name, DPA_NAMES, "automaton fixture")
+                     .read_text(encoding="utf-8"))
 
 
 def load_arena(name: str) -> Arena:
-    if name not in ARENA_NAMES:
-        raise KeyError("unknown arena fixture %r" % name)
-    text = (files("posit") / "data" / (name + ".arena")).read_text()
-    return parse_arena(text)
+    return parse_arena(_data_file(name, ARENA_NAMES, "arena fixture")
+                       .read_text(encoding="utf-8"))

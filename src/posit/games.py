@@ -422,10 +422,11 @@ def _walk(node, step, memo) -> bool:
     return verdict
 
 
-def _one_move_step(g: Game, move):
-    """`_walk`'s step on the play × complement graph of a strategy whose
-    state st has the single move `move(st) -> (letter, dst)`."""
-    delta = g.condition.delta
+def _one_move_step(a: Dpa, move):
+    """`_walk`'s step on the play × complement graph, for the condition
+    `a`, of a strategy whose state st has the single move
+    `move(st) -> (letter, dst)`."""
+    delta = a.delta
 
     def step(node):
         letter, dst = move(node[0])

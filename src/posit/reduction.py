@@ -7,106 +7,122 @@ the one whose future compares at least as high in the lasso preorder of
 the condition; for positional conditions this never breaks winning, and
 repeating it reaches memory one.
 
+The preorder compares lassos by the reachable automaton states that
+accept them, so `choose_merge` reads each future as a bit mask over
+those states and never spells it out, except to name an incomparable
+pair: a play from `games._walk` verdicts, a loop v^omega from v's (end
+state, least priority) codes, the form `PriorityMonoid` uses, for all
+automaton states at once.  One trace from each state finds v.
+
 `reduce_to_positional` validates and verifies the strategy once, then
 merges in place on a private working map (one move per state, with a
 predecessor index).  A merge changes only the plays of the states that
 can reach the dropped state, so each merge redirects the dropped state's
 predecessors, forgets the walk verdicts of that backward cone and
-re-walks the cone's region states with `games._walk`, the walk that
-`verify_strategy` uses; a loss raises MergeBrokeWinning.  Pairs come
-from per-vertex buckets and a heap, in the order of a scan over the
-sorted states, and the result is built once, in the input's order, so
-it equals a fresh `merge` and `verify_strategy` after every step.
+re-walks the cone's region states; a loss raises MergeBrokeWinning.
+The chooser reads and fills the same walk memo.  Pairs come from
+per-vertex buckets and a heap, in the order of a scan over the sorted
+states, and the result is built once, in the input's order, so it
+equals a fresh merge and `verify_strategy` after every step.
 """
 
 import heapq
 from dataclasses import dataclass
 
-from .automata import Dpa
+from .automata import Dpa, reachable_states
 from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
-                     MergeBrokeWinning, NotEveOnly, PreconditionViolated)
+                     MergeBrokeWinning, NotEveOnly, PreconditionViolated,
+                     UnknownLetter)
 from .games import (Game, Strategy, _one_move_step, _walk,
                     validate_strategy, verify_strategy)
-from .positionality import compare_lassos
+from .positionality import _omega_mask
 from .words import LassoWord
-
-
-def _only_edge(s: Strategy, state):
-    out = s.out_edges(state)
-    if len(out) != 1:
-        raise NotEveOnly("state %r has %d moves, expected exactly one"
-                         % (state, len(out)))
-    return out[0]
-
-
-def unique_path_lasso(s: Strategy, state) -> LassoWord:
-    """The lasso traced from `state` by following single moves."""
-    seen = {}
-    labels = []
-    cur = state
-    while cur not in seen:
-        seen[cur] = len(labels)
-        letter, cur_next = _only_edge(s, cur)
-        labels.append(letter)
-        cur = cur_next
-    split = seen[cur]
-    return LassoWord("".join(labels[:split]), "".join(labels[split:]))
-
-
-def path_word(s: Strategy, frm, to):
-    """Letters along the unique path from `frm` to `to`, or None if the
-    trace cycles without reaching `to`.  Empty string when frm == to."""
-    if frm == to:
-        return ""
-    labels = []
-    seen = {frm}
-    cur = frm
-    while True:
-        letter, cur = _only_edge(s, cur)
-        labels.append(letter)
-        if cur == to:
-            return "".join(labels)
-        if cur in seen:
-            return None
-        seen.add(cur)
 
 
 @dataclass(frozen=True)
 class MergePlan:
-    """Redirect every edge into `drop` towards `keep` and delete `drop`.
-
-    comparisons records the lasso comparisons justifying the choice as
-    (left, right, relation) string triples.
-    """
+    """Redirect every edge into `drop` towards `keep` and delete `drop`."""
 
     keep: str
     drop: str
     case: int
-    comparisons: tuple = ()
 
 
-def merge(s: Strategy, plan: MergePlan) -> Strategy:
-    if plan.keep not in s.sigma or plan.drop not in s.sigma:
-        raise InvalidPlan("plan names an unknown state")
-    if plan.keep == plan.drop:
-        raise InvalidPlan("cannot merge a state with itself")
-    if s.sigma[plan.keep] != s.sigma[plan.drop]:
-        raise InvalidPlan("states %r and %r sit on different vertices"
-                          % (plan.keep, plan.drop))
-    states = tuple(st for st in s.states if st != plan.drop)
-    edges = []
-    seen = set()
-    for src, letter, dst in s.edges:
-        if src == plan.drop:
-            continue
-        if dst == plan.drop:
-            dst = plan.keep
-        edge = (src, letter, dst)
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
-    sigma = {st: v for st, v in s.sigma.items() if st != plan.drop}
-    return Strategy(states, edges, sigma)
+def _trace(move, frm, to):
+    """Follow single moves from `frm`: the letters read, and None if they
+    reach `to`, else the index of the letter where their cycle starts."""
+    seen = {frm: 0}
+    letters = []
+    cur = frm
+    while True:
+        letter, cur = move(cur)
+        letters.append(letter)
+        if cur == to:
+            return letters, None
+        if cur in seen:
+            return letters, seen[cur]
+        seen[cur] = len(letters)
+
+
+def _loop_mask(a: Dpa, letters) -> int:
+    """Bit r set iff (letters)^omega is accepted from automaton state r."""
+    base = 1 + max(pri for row in a.delta for _, pri in row.values())
+    key = []
+    for r in range(a.n):
+        t, least = r, base - 1
+        for c in letters:
+            t, pri = a.delta[t][c]
+            least = min(least, pri)
+        key.append(t * base + least)
+    return _omega_mask(tuple(key), base)
+
+
+def _lasso(letters, split) -> LassoWord:
+    return LassoWord("".join(letters[:split]), "".join(letters[split:]))
+
+
+def _choose_merge(a: Dpa, sigma, move, memo, p, q) -> MergePlan:
+    """`choose_merge` over the single moves `move(st) -> (letter, dst)`,
+    reading and filling `memo`, a `games._walk` memo valid for `move`."""
+    if p not in sigma or q not in sigma:
+        raise PreconditionViolated("unknown state")
+    if p == q or sigma[p] != sigma[q]:
+        raise PreconditionViolated("states must be distinct and share a vertex")
+    access = reachable_states(a)
+    step = _one_move_step(a, move)
+
+    def future(st, other):
+        """What st's play becomes if st survives: the loop v^omega that
+        its trace closes through `other`, else its own play.  Returned
+        as (st, mask of the reachable automaton states accepting it, the
+        letters read and where their cycle starts, whether it loops)."""
+        letters, split = _trace(move, st, other)
+        if split is None:
+            mask = _loop_mask(a, letters) & sum(1 << r for r in access)
+            return st, mask, letters, 0, True
+        mask = sum(1 << r for r in access if _walk((st, r), step, memo))
+        return st, mask, letters, split, False
+
+    p_side, q_side = future(p, q), future(q, p)
+    # 1: neither trace reaches the other state, 2: only p's, 3: only
+    # q's, 4: both, so p and q share a cycle
+    case = 1 + p_side[4] + 2 * q_side[4]
+    left, right = (q_side, p_side) if q_side[4] else (p_side, q_side)
+    # the least reachable states accepting only one side: what the
+    # sorted scan of compare_lassos(a, left, right) reports
+    left_only, right_only = left[1] & ~right[1], right[1] & ~left[1]
+    if left_only and right_only:
+        raise IncomparableLassos(
+            "%s and %s are incomparable (u=%r, u'=%r)"
+            % (_lasso(*left[2:4]), _lasso(*right[2:4]),
+               access[(left_only & -left_only).bit_length() - 1],
+               access[(right_only & -right_only).bit_length() - 1]))
+    if case in (1, 4) and not left_only and not right_only:
+        keep, drop = sorted((p, q))  # equal plays or loops: smaller id
+    else:
+        # the right side's state survives unless the left is strictly better
+        keep, drop = (left[0], right[0]) if left_only else (right[0], left[0])
+    return MergePlan(keep, drop, case)
 
 
 def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
@@ -116,63 +132,15 @@ def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
     is at least as good in the lasso preorder is kept, with ties broken
     towards the smaller state id.
     """
-    if p not in s.sigma or q not in s.sigma:
-        raise PreconditionViolated("unknown state")
-    if p == q or s.sigma[p] != s.sigma[q]:
-        raise PreconditionViolated("states must be distinct and share a vertex")
-    comparisons = []
-
-    def compared(left: LassoWord, right: LassoWord):
-        c = compare_lassos(a, left, right)
-        if c.equivalent:
-            rel = "equivalent"
-        elif c.left_leq:
-            rel = "left below right"
-        elif c.right_leq:
-            rel = "right below left"
-        else:
-            rel = "incomparable"
-        comparisons.append((str(left), str(right), rel))
-        if c.incomparable:
-            raise IncomparableLassos(
-                "%s and %s are incomparable (u=%r, u'=%r)"
-                % (left, right, c.u, c.up))
-        return c
-
-    v_pq = path_word(s, p, q)
-    v_qp = path_word(s, q, p)
-    if v_pq is None and v_qp is None:
-        c = compared(unique_path_lasso(s, p), unique_path_lasso(s, q))
-        case = 1
-        if c.equivalent:
-            keep, drop = (p, q) if p <= q else (q, p)
-        elif c.left_leq:
-            keep, drop = q, p
-        else:
-            keep, drop = p, q
-    elif v_pq is not None and v_qp is None:
-        # q lies on p's trace: keep q iff the loop v alone is no better
-        # than what q reaches on its own.
-        c = compared(LassoWord("", v_pq), unique_path_lasso(s, q))
-        case = 2
-        keep, drop = (q, p) if c.left_leq else (p, q)
-    elif v_qp is not None and v_pq is None:
-        c = compared(LassoWord("", v_qp), unique_path_lasso(s, p))
-        case = 3
-        keep, drop = (p, q) if c.left_leq else (q, p)
-    else:
-        # p and q sit on a common cycle reading v from p to q and v'
-        # back; keeping p short-circuits the cycle into v^omega, keeping
-        # q into v'^omega, so the better loop survives.
-        c = compared(LassoWord("", v_qp), LassoWord("", v_pq))
-        case = 4
-        if c.equivalent:
-            keep, drop = (p, q) if p <= q else (q, p)
-        elif c.left_leq:
-            keep, drop = p, q
-        else:
-            keep, drop = q, p
-    return MergePlan(keep, drop, case, tuple(comparisons))
+    def move(st):
+        out = s.out_edges(st)
+        if len(out) != 1:
+            raise NotEveOnly("state %r has %d moves, expected exactly one"
+                             % (st, len(out)))
+        if out[0][0] not in a.alphabet:
+            raise UnknownLetter("letter %r not in alphabet" % out[0][0])
+        return out[0]
+    return _choose_merge(a, s.sigma, move, {}, p, q)
 
 
 class _SharedPairs:
@@ -208,27 +176,26 @@ class _SharedPairs:
 class _Working:
     """A strategy with one move per state, merged in place.
 
-    `move` sends each state to its single (letter, dst) and `preds`
-    indexes the states moving into each state.  `sigma` and
-    `out_edges` are all that `choose_merge`, `path_word` and
-    `unique_path_lasso` read, so they take this view as a strategy.
+    `move` sends each state to its single (letter, dst), `preds` indexes
+    the states moving into each state and `sigma` maps each state to
+    its vertex.  The input strategy is validated on an Eve-only arena,
+    so every state has exactly one move.
     """
 
     def __init__(self, g: Game, s: Strategy):
         self.arena_edges = set(g.arena.edges)
         self.sigma = dict(s.sigma)
-        self.move = {st: _only_edge(s, st) for st in s.states}
+        self.move = {st: s.out_edges(st)[0] for st in s.states}
         self.preds = {st: set() for st in s.states}
         for src, (_letter, dst) in self.move.items():
             self.preds[dst].add(src)
 
-    def out_edges(self, st):
-        return [self.move[st]]
-
     def merge(self, plan: MergePlan) -> list:
-        """Apply `plan` in place, with the checks of `merge`, and return
-        the surviving states whose plays passed through `plan.drop`:
-        the only states whose plays the merge changes."""
+        """Apply `plan` in place and return the surviving states whose
+        plays passed through `plan.drop`: the only states whose plays
+        the merge changes.  The plan must name two distinct known states
+        over one vertex, and every redirected edge must project onto
+        the arena."""
         keep, drop = plan.keep, plan.drop
         if keep not in self.sigma or drop not in self.sigma:
             raise InvalidPlan("plan names an unknown state")
@@ -285,14 +252,15 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
             "strategy must win from every memory state over the region")
     work = _Working(g, s)
     pairs = _SharedPairs(s.sigma)
-    step = _one_move_step(g, work.move.__getitem__)
+    move = work.move.__getitem__
+    step = _one_move_step(g.condition, move)
     q0, n = g.condition.initial, g.condition.n
     memo = {}  # (state, automaton state) -> Eve wins the play from it
     while True:
         pair = pairs.least()
         if pair is None:
             return work.strategy(s)
-        plan = choose_merge(work, g.condition, *pair)
+        plan = _choose_merge(g.condition, work.sigma, move, memo, *pair)
         before = len(work.sigma)
         cone = work.merge(plan)
         if len(work.sigma) != before - 1:

@@ -10,10 +10,11 @@ written out again by hand so a typo in either copy shows up.
 import random
 from itertools import product
 
-from posit import (Alphabet, Dpa, LassoWord, MergeBrokeWinning, NotEveOnly,
-                   PreconditionViolated, PropertyReport, Witness1, Witness2,
-                   Witness3, choose_merge, complement_shift, member_from,
-                   merge, prepend, reachable_states, validate_strategy,
+from posit import (Alphabet, Dpa, IncomparableLassos, InvalidPlan,
+                   LassoWord, MergeBrokeWinning, MergePlan, NotEveOnly,
+                   PreconditionViolated, PropertyReport, Strategy, Witness1,
+                   Witness2, Witness3, compare_lassos, complement_shift,
+                   member_from, prepend, reachable_states, validate_strategy,
                    verify_strategy)
 from posit.cycles import accepting_lasso_from
 
@@ -454,7 +455,123 @@ def brute_eve_region(owners: dict, edges: dict):
 
 
 # ---------------------------------------------------------------------------
-# the merge loop with a full copy and re-verification after every merge
+# the merge loop on strings: lassos spelled out and compared by membership,
+# a full copy and re-verification after every merge
+
+def _only_edge(s: Strategy, state):
+    out = s.out_edges(state)
+    if len(out) != 1:
+        raise NotEveOnly("state %r has %d moves, expected exactly one"
+                         % (state, len(out)))
+    return out[0]
+
+
+def unique_path_lasso(s: Strategy, state) -> LassoWord:
+    """The lasso traced from `state` by following single moves."""
+    seen = {}
+    labels = []
+    cur = state
+    while cur not in seen:
+        seen[cur] = len(labels)
+        letter, cur = _only_edge(s, cur)
+        labels.append(letter)
+    split = seen[cur]
+    return LassoWord("".join(labels[:split]), "".join(labels[split:]))
+
+
+def path_word(s: Strategy, frm, to):
+    """Letters along the unique path from `frm` to `to`, or None if the
+    trace cycles without reaching `to`.  Empty string when frm == to."""
+    if frm == to:
+        return ""
+    labels = []
+    seen = {frm}
+    cur = frm
+    while True:
+        letter, cur = _only_edge(s, cur)
+        labels.append(letter)
+        if cur == to:
+            return "".join(labels)
+        if cur in seen:
+            return None
+        seen.add(cur)
+
+
+def merge(s: Strategy, plan: MergePlan) -> Strategy:
+    """A copy of `s` with every edge into `plan.drop` redirected to
+    `plan.keep` and `plan.drop` deleted."""
+    if plan.keep not in s.sigma or plan.drop not in s.sigma:
+        raise InvalidPlan("plan names an unknown state")
+    if plan.keep == plan.drop:
+        raise InvalidPlan("cannot merge a state with itself")
+    if s.sigma[plan.keep] != s.sigma[plan.drop]:
+        raise InvalidPlan("states %r and %r sit on different vertices"
+                          % (plan.keep, plan.drop))
+    states = tuple(st for st in s.states if st != plan.drop)
+    edges = []
+    seen = set()
+    for src, letter, dst in s.edges:
+        if src == plan.drop:
+            continue
+        if dst == plan.drop:
+            dst = plan.keep
+        edge = (src, letter, dst)
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
+    sigma = {st: v for st, v in s.sigma.items() if st != plan.drop}
+    return Strategy(states, edges, sigma)
+
+
+def ref_choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
+    """`choose_merge` on strings: spell the lassos out with `path_word`
+    and `unique_path_lasso`, and compare them with `compare_lassos`."""
+    if p not in s.sigma or q not in s.sigma:
+        raise PreconditionViolated("unknown state")
+    if p == q or s.sigma[p] != s.sigma[q]:
+        raise PreconditionViolated("states must be distinct and share a vertex")
+
+    def compared(left: LassoWord, right: LassoWord):
+        c = compare_lassos(a, left, right)
+        if c.incomparable:
+            raise IncomparableLassos(
+                "%s and %s are incomparable (u=%r, u'=%r)"
+                % (left, right, c.u, c.up))
+        return c
+
+    def tie():
+        return (p, q) if p <= q else (q, p)
+
+    v_pq = path_word(s, p, q)
+    v_qp = path_word(s, q, p)
+    if v_pq is None and v_qp is None:
+        c = compared(unique_path_lasso(s, p), unique_path_lasso(s, q))
+        case = 1
+        if c.equivalent:
+            keep, drop = tie()
+        elif c.left_leq:
+            keep, drop = q, p
+        else:
+            keep, drop = p, q
+    elif v_pq is not None and v_qp is None:
+        c = compared(LassoWord("", v_pq), unique_path_lasso(s, q))
+        case = 2
+        keep, drop = (q, p) if c.left_leq else (p, q)
+    elif v_qp is not None and v_pq is None:
+        c = compared(LassoWord("", v_qp), unique_path_lasso(s, p))
+        case = 3
+        keep, drop = (p, q) if c.left_leq else (q, p)
+    else:
+        c = compared(LassoWord("", v_qp), LassoWord("", v_pq))
+        case = 4
+        if c.equivalent:
+            keep, drop = tie()
+        elif c.left_leq:
+            keep, drop = p, q
+        else:
+            keep, drop = q, p
+    return MergePlan(keep, drop, case)
+
 
 def ref_least_shared_pair(sigma: dict):
     """The least pair (p, q), p < q over one vertex under `sigma`: least
@@ -470,9 +587,9 @@ def ref_least_shared_pair(sigma: dict):
 
 
 def ref_reduce(g, s, region):
-    """`reduce_to_positional` as a fresh `merge` and a whole
-    `verify_strategy` after each merge: quadratic, but each step is the
-    public definition."""
+    """`reduce_to_positional` as `ref_choose_merge`, a fresh `merge` and
+    a whole `verify_strategy` after each merge: quadratic, but each step
+    is the plain definition."""
     if not g.arena.eve_only():
         raise NotEveOnly("reduction needs an Eve-only arena")
     validate_strategy(g, s)
@@ -488,7 +605,7 @@ def ref_reduce(g, s, region):
         pair = ref_least_shared_pair(s.sigma)
         if pair is None:
             return s
-        plan = choose_merge(s, g.condition, *pair)
+        plan = ref_choose_merge(s, g.condition, *pair)
         merged = merge(s, plan)
         if len(merged.states) != len(s.states) - 1:
             raise AssertionError("merge did not remove exactly one state")

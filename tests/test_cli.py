@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from posit import WitnessRecheckFailed, cli, member, positionality
+from posit import PositError, WitnessRecheckFailed, cli, member, positionality
 from posit.cli import main
-from posit.fixtures import fixture_path
+from posit.fixtures import fixture_path, load_arena, load_dpa
 from posit.games import parse_arena
 
 
@@ -108,7 +108,7 @@ class TestSolveReduce:
                          "vertex e E\n"
                          "edge u a e\n"
                          "edge e a e\n"
-                         "edge e b u\n")
+                         "edge e b u\n", encoding="utf-8")
         rc, _, err = run(capsys, "reduce", fixture_path("buchi_a"), str(arena))
         assert rc == 1
         assert err.startswith("error:")
@@ -130,7 +130,7 @@ class TestGadget:
                                     "eve wins: true",
                                     "positional win: false",
                                     "certified: true"]
-        arena = parse_arena(out_file.read_text())
+        arena = parse_arena(out_file.read_text(encoding="utf-8"))
         assert arena.owners["e"] == "E"
 
     def test_uncertified_exits_nonzero(self, capsys):
@@ -155,7 +155,7 @@ class TestErrors:
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.dpa"
-        bad.write_text("dpa v2\n")
+        bad.write_text("dpa v2\n", encoding="utf-8")
         rc, _, err = run(capsys, "check", str(bad))
         assert rc == 2
         assert "error:" in err
@@ -163,7 +163,7 @@ class TestErrors:
     def test_duplicate_letter(self, capsys, tmp_path):
         bad = tmp_path / "dup.dpa"
         bad.write_text("dpa v1\nalphabet a a\nstates 1\ninitial 0\n"
-                       "trans 0 a 0 0\n")
+                       "trans 0 a 0 0\n", encoding="utf-8")
         rc, _, err = run(capsys, "check", str(bad))
         assert rc == 2
         assert err.startswith("error:") and "duplicate letter" in err
@@ -253,6 +253,19 @@ class TestFixturesCommand:
         rc, _, err = run(capsys, "fixtures", "nope")
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_unknown_is_named_once_quoted(self, capsys):
+        assert run(capsys, "fixtures", "nosuch") == (
+            2, "", "error: unknown fixture 'nosuch'\n")
+
+    @pytest.mark.parametrize("load, kind", [(load_dpa, "automaton"),
+                                            (load_arena, "arena")])
+    def test_loaders_refuse_unknown_names(self, load, kind):
+        # an arena name is not an automaton fixture, nor the reverse
+        name = "twoloops" if kind == "automaton" else "ex3"
+        with pytest.raises(PositError,
+                           match="^unknown %s fixture '%s'$" % (kind, name)):
+            load(name)
 
 
 class TestParserReuse:

@@ -168,7 +168,7 @@ class TestTwoStarts:
 
     def test_cli_certifies(self, capsys, tmp_path):
         path = tmp_path / "draw1754.dpa"
-        path.write_text(DRAW_1754)
+        path.write_text(DRAW_1754, encoding="utf-8")
         rc = main(["gadget", str(path), json.dumps(WITNESS_1754)])
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == [

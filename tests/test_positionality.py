@@ -261,7 +261,7 @@ class TestWitnessRecheck:
         env = dict(os.environ,
                    PYTHONPATH=str(Path(posit.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
+                             capture_output=True, encoding="utf-8", check=True)
         assert out.stdout == "raised False\n"
 
 

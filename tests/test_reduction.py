@@ -1,7 +1,9 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,14 +13,14 @@ from posit import reduction
 from posit import (Game, IncomparableLassos, InvalidPlan, InvalidStrategy,
                    LassoWord, MergeBrokeWinning, MergePlan, NotEveOnly,
                    PositError, PreconditionViolated, Strategy, choose_merge,
-                   lasso_equal, merge, parse_arena, path_word, random_arena,
-                   reduce_to_positional, solve_game, unique_path_lasso,
-                   verify_strategy)
-from posit.fixtures import load_arena, load_dpa
+                   lasso_equal, parse_arena, random_arena,
+                   reduce_to_positional, solve_game, verify_strategy)
+from posit.fixtures import DPA_NAMES, load_arena, load_dpa
 from posit.reduction import _SharedPairs, _Working
 
 import oracles
-from oracles import ref_least_shared_pair, ref_reduce
+from oracles import (merge, path_word, ref_choose_merge,
+                     ref_least_shared_pair, ref_reduce, unique_path_lasso)
 
 
 def loop_strategy(edges):
@@ -147,13 +149,11 @@ class TestChooseMerge:
         s = loop_strategy([("m1", "a", "m1"), ("m2", "b", "m2")])
         plan = choose_merge(s, load_dpa("buchi_a"), "m1", "m2")
         assert (plan.case, plan.keep, plan.drop) == (1, "m1", "m2")
-        assert plan.comparisons == ((":a", ":b", "right below left"),)
 
     def test_disjoint_traces_tie_keeps_lower_id(self):
         s = loop_strategy([("m1", "a", "m1"), ("m2", "a", "m2")])
         plan = choose_merge(s, load_dpa("buchi_a"), "m1", "m2")
         assert (plan.case, plan.keep, plan.drop) == (1, "m1", "m2")
-        assert plan.comparisons[0][2] == "equivalent"
 
     def test_forward_path_keeps_target(self):
         # dropping m2 would loop the a edge forever, which fin_a loses
@@ -196,6 +196,47 @@ class TestChooseMerge:
                          {"m1": "u", "m2": "center"})
         with pytest.raises(PreconditionViolated):
             choose_merge(other, dpa, "m1", "m2")
+
+    def test_branching_state_rejected(self):
+        s = loop_strategy([("m1", "a", "m3"), ("m2", "b", "m2"),
+                           ("m3", "a", "m1"), ("m3", "b", "m1")])
+        with pytest.raises(NotEveOnly, match="'m3' has 2 moves"):
+            choose_merge(s, load_dpa("buchi_a"), "m1", "m2")
+
+
+class TestChooseMatchesReference:
+    """The chooser reads masks of accepting automaton states; the
+    reference spells both lassos out and compares them by membership.
+    Plans, or exception types and messages, must be equal."""
+
+    def test_random_pairs_under_every_fixture(self):
+        rng = random.Random(0)
+        kinds = Counter()
+        for name in DPA_NAMES:
+            dpa = load_dpa(name)
+            for seed in range(140):
+                # every fourth arena has Adam vertices, whose states
+                # branch and must raise NotEveOnly in both choosers
+                eve = 0.7 if seed % 4 == 3 else 1.0
+                game = Game(random_arena(seed % 12 + 2, 3, eve, dpa.alphabet,
+                                         seed), dpa)
+                s = solve_game(game).strategy
+                pairs = [(p, q) for p in s.states for q in s.states
+                         if p != q and s.sigma[p] == s.sigma[q]]
+                for p, q in rng.sample(pairs, min(len(pairs), 10)):
+                    got = chosen(choose_merge, s, dpa, p, q)
+                    assert got == chosen(ref_choose_merge, s, dpa, p, q)
+                    kinds[got[0] if got[0] != "plan" else got[1].case] += 1
+        for kind in (1, 2, 3, 4, "IncomparableLassos", "NotEveOnly"):
+            assert kinds[kind] >= 100, kinds
+
+
+def chosen(choose, s, a, p, q):
+    """("plan", the plan), or the exception's type and message."""
+    try:
+        return "plan", choose(s, a, p, q)
+    except PositError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def shuffled_names(s: Strategy, rng) -> Strategy:
@@ -309,7 +350,7 @@ class TestReduce:
         env = dict(os.environ,
                    PYTHONPATH=str(Path(posit.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
+                             capture_output=True, encoding="utf-8", check=True,
                              timeout=60)
         assert out.stdout == "raised False\n"
 
@@ -319,6 +360,39 @@ class TestReduce:
         s = loop_strategy([("m1", "a", "m1"), ("m2", "b", "m2")])
         with pytest.raises(PreconditionViolated):
             reduce_to_positional(game, s, {"center"})
+
+
+class TestPinnedOutputs:
+    """Reduced strategies on ex3 random arenas, pinned by the sha256 of
+    repr((states, edges, sorted sigma items)): a faster merge loop must
+    still build exactly these strategies."""
+
+    @staticmethod
+    def reduced(nv, seed):
+        ex3 = load_dpa("ex3")
+        game = Game(random_arena(nv, 3, 1.0, ex3.alphabet, seed), ex3)
+        solution = solve_game(game)
+        r = reduce_to_positional(game, solution.strategy,
+                                 solution.winning_region)
+        return repr((r.states, r.edges, sorted(r.sigma.items()))).encode()
+
+    def test_sixteen_arenas_of_120_vertices(self):
+        digest = hashlib.sha256()
+        for seed in range(16):
+            digest.update(self.reduced(120, seed))
+        assert digest.hexdigest() == (
+            "668acaf51d8d20f5a013a623692ec2e12fe0c7ba00b1e0336b8b383fbab3cab8")
+
+    @pytest.mark.parametrize("nv, expected", [
+        (120, "acb0c42b4efb203f15ba6c7b2a5b5b79"
+              "954056d189424fa9a149d902b0e6ab39"),
+        (200, "ed46d50e9d1339c9a0ae6ea641037434"
+              "c97d81e95923e1e859b42674c9202a56"),
+        (400, "76ea45a379373523867b4819a11e226e"
+              "eace0165587173351c5a46ab98b3de8c"),
+    ])
+    def test_seed_7(self, nv, expected):
+        assert hashlib.sha256(self.reduced(nv, 7)).hexdigest() == expected
 
 
 def outcome(reduce, game, s, region):
@@ -385,11 +459,31 @@ class TestIncrementalMatchesReference:
                              ("e", "b", "e")]
                      + [(w, "a", "k") for w in winners], sigma)
         plan = MergePlan(keep="k", drop="d", case=2)
-        for module in (reduction, oracles):
-            monkeypatch.setattr(module, "choose_merge", lambda *args: plan)
+        monkeypatch.setattr(reduction, "_choose_merge", lambda *args: plan)
+        monkeypatch.setattr(oracles, "ref_choose_merge", lambda *args: plan)
         got = self.check(game, s, {"c"})
         assert got == ("MergeBrokeWinning",
                        "merging 'd' into 'k' (case 2) broke the strategy")
+
+    def test_choice_reads_a_play_that_a_merge_changed(self):
+        # onea accepts "some a, then finitely many" from state 0 and
+        # "finitely many a" from state 1.  Choosing between a1 and a2
+        # walks c1's play a^omega, rejected from both.  Merging b2 into
+        # b1 turns c1's play into a b^omega, accepted from both, so the
+        # last choice keeps c1 over c2's b^omega; with c1's old verdicts
+        # it would keep c2.
+        arena = parse_arena("arena v1\nalphabet a b\nvertex d E\n"
+                            "vertex e E\nvertex f E\nedge d a e\n"
+                            "edge d b d\nedge e a e\nedge e b e\n"
+                            "edge f a f\nedge f b d\n")
+        game = Game(arena, load_dpa("onea"))
+        s = Strategy(("a1", "a2", "b1", "b2", "c1", "c2"),
+                     (("a1", "b", "c1"), ("a2", "a", "a2"),
+                      ("b1", "b", "b1"), ("b2", "a", "b2"),
+                      ("c1", "a", "b2"), ("c2", "b", "c2")),
+                     {"a1": "f", "a2": "f", "b1": "e", "b2": "e",
+                      "c1": "d", "c2": "d"})
+        assert self.check(game, s, set())[0] == ("a1", "b1", "c1")
 
     @pytest.mark.parametrize("name", ["onea", "infab", "w2", "res"])
     def test_conditions_needing_memory(self, name):
