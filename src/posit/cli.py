@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .automata import member, parse_dpa, residual_included
-from .errors import (IncomparableLassos, InvalidWitness, MergeBrokeWinning,
-                     NotEveOnly, ParseError, PositError, PreconditionViolated,
-                     SinkVertex, WitnessRecheckFailed)
+from .errors import (IncomparableLassos, InvalidSetting, InvalidWitness,
+                     MergeBrokeWinning, NotEveOnly, ParseError, PositError,
+                     PreconditionViolated, SinkVertex, WitnessRecheckFailed)
 from .fixtures import data_dir, fixture_path
 from .gadgets import certify
 from .games import (Game, format_arena, parse_arena, random_arena, solve_game,
@@ -150,6 +150,11 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    for flag, value, low in (("--trials", args.trials, 0),
+                             ("--max-vertices", args.max_vertices, 1)):
+        if value < low:
+            raise InvalidSetting("%s must be at least %d, not %d"
+                                 % (flag, low, value))
     a = _load_dpa(args.dpa)
     verdict = check_positional(a)
     failures = []

@@ -1,15 +1,19 @@
-"""Search for cycles whose per-coordinate minimum priorities are all even.
+"""Decide and find cycles whose per-coordinate minimum priorities are even.
 
 Graphs are plain dicts mapping a node to a list of (letter, successor,
 priorities) triples, where priorities is a tuple with one entry per
 acceptance coordinate.  Every product of a letter-labelled graph with an
 automaton is built by `reachable_graph`, from its roots and a function
-giving each node's edges.  The search enumerates even threshold tuples in
-ascending order; for each it keeps only edges at or above the thresholds,
-decomposes into strongly connected components and looks for a component
-containing, for every coordinate, an edge meeting the threshold exactly.
-Any cycle through such edges has exactly the threshold tuple as its
-coordinate minima, hence is accepting in every coordinate.
+giving each node's edges.  There are two evaluators.  The sweep, for
+branching graphs, enumerates even threshold tuples in ascending order;
+for each it keeps only edges at or above the thresholds, decomposes into
+strongly connected components and looks for a component containing, for
+every coordinate, an edge meeting the threshold exactly.  Any cycle
+through such edges has exactly the threshold tuple as its coordinate
+minima, hence is accepting in every coordinate.  The linear walk
+`_walk`, for graphs in which every node has one move, follows the unique
+lasso from a node: it decides strategy plays, the priority monoid's
+omega-powers and lasso words (`positionality._lasso_mask`).
 """
 
 from collections import deque
@@ -242,3 +246,26 @@ def nodes_reaching_accepting_cycle(graph):
                 out.add(u)
                 stack.append(u)
     return out
+
+
+def _walk(node, step, memo) -> bool:
+    """Is the least priority odd on the cycle that `node` reaches, where
+    every node has one move `step(node) -> (next node, priority)`?  With
+    complement priorities (shifted by one), True means accepted.
+
+    The walk follows single moves until it meets a node of `memo` or
+    closes a cycle on its own path.  Every node of the path enters `memo`
+    with the verdict, so walks from many starts cost O(nodes) together.
+    """
+    path, pris = [], []
+    while node not in memo:
+        memo[node] = None  # on the current walk
+        path.append(node)
+        node, pri = step(node)
+        pris.append(pri)
+    verdict = memo[node]
+    if verdict is None:
+        verdict = min(pris[path.index(node):]) % 2 == 1
+    for v in path:
+        memo[v] = verdict
+    return verdict

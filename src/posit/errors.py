@@ -22,7 +22,8 @@ class AlphabetMismatch(PositError):
 
 
 class InvalidSetting(PositError):
-    """An environment variable holds a value the package cannot use."""
+    """An environment variable or option holds a value the package cannot
+    use."""
 
 
 class MonoidTooLarge(PositError):

@@ -13,10 +13,9 @@ automaton, a parity game that Zielonka's algorithm solves
 reachable accepting cycles are the plays the strategy loses (`_wins`,
 which `verify_strategy` and `find_positional` share).  When every node
 of that product has one move, as for any strategy on an Eve-only arena,
-it is a functional graph and the linear walk `_walk` decides it;
-otherwise the threshold/SCC sweep of
-`cycles.nodes_reaching_accepting_cycle` does.  `_walk` takes a successor
-function and a verdict memo, so the merge loop of
+the linear walk `cycles._walk` decides it; otherwise the threshold/SCC
+sweep of `cycles.nodes_reaching_accepting_cycle` does.  `_one_move_step`
+gives the walk's step on a strategy's single moves, so the merge loop of
 `reduction.reduce_to_positional` runs the same walk on its working map
 and keeps the memo across merges.
 Both, and the plays of a fixed choice in `solve_game` and
@@ -29,7 +28,7 @@ from math import prod
 import random
 
 from .automata import RESERVED, Dpa
-from .cycles import nodes_reaching_accepting_cycle, reachable_graph
+from .cycles import _walk, nodes_reaching_accepting_cycle, reachable_graph
 from .errors import (AlphabetMismatch, InvalidStrategy, ParseError,
                      PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
                      UnknownLetter)
@@ -396,30 +395,6 @@ def solve_game(g: Game) -> GameSolution:
     strategy = Strategy(states, edges, sigma)
     return GameSolution(set(region), strategy,
                         [_mstate(g, v, q0) for v in region])
-
-
-def _walk(node, step, memo) -> bool:
-    """Does Eve win from `node` of a play × complement graph in which
-    every node has one move, `step(node) -> (next node, priority)`?
-
-    The walk follows single moves until it meets a node of `memo` or
-    closes a cycle on its own path.  That cycle's least complement
-    priority decides (odd: Eve wins), and every node of the path enters
-    `memo` with the verdict, so walks from many starts cost O(nodes)
-    together.
-    """
-    path, pris = [], []
-    while node not in memo:
-        memo[node] = None  # on the current walk
-        path.append(node)
-        node, pri = step(node)
-        pris.append(pri)
-    verdict = memo[node]
-    if verdict is None:
-        verdict = min(pris[path.index(node):]) % 2 == 1
-    for v in path:
-        memo[v] = verdict
-    return verdict
 
 
 def _one_move_step(a: Dpa, move):

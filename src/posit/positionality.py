@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
 
-from .automata import (Dpa, member, member_from, reachable_states,
-                       residual_graph)
-from .cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
+from .automata import Dpa, member, reachable_states, residual_graph
+from .cycles import (_walk, accepting_lasso_from,
+                     nodes_reaching_accepting_cycle)
 from .errors import (InvalidSetting, InvalidWitness, MonoidTooLarge,
-                     PreconditionViolated, WitnessRecheckFailed)
+                     PreconditionViolated, UnknownLetter,
+                     WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 DEFAULT_MONOID_CAP = 100_000
@@ -113,23 +114,31 @@ class PriorityMonoid:
 def _omega_mask(key: tuple, base: int) -> int:
     """Bit p set iff the omega-power of the element `key` is accepted
     from p: the least priority on the cycle p falls into is even."""
-    n = len(key)
-    verdict = [None] * n
+    step = [(code // base, code % base + 1) for code in key].__getitem__
+    memo = {}
     mask = 0
-    for p in range(n):
-        if verdict[p] is None:
-            path, pos, q = [], {}, p
-            while verdict[q] is None and q not in pos:
-                pos[q] = len(path)
-                path.append(q)
-                q = key[q] // base
-            ok = (verdict[q] if verdict[q] is not None else
-                  min(key[s] % base for s in path[pos[q]:]) % 2 == 0)
-            for s in path:
-                verdict[s] = ok
-        if verdict[p]:
+    for p in range(len(key)):
+        if _walk(p, step, memo):
             mask |= 1 << p
     return mask
+
+
+def _lasso_mask(a: Dpa, w: LassoWord) -> int:
+    """Bit r set iff `w` is accepted from automaton state r.  One walk
+    over (letter position, state) nodes of w's prefix and period, with
+    one memo for all start states."""
+    word, loop = w.prefix + w.period, len(w.prefix)
+    for c in word:
+        if c not in a.alphabet:
+            raise UnknownLetter("letter %r not in alphabet" % c)
+    delta, last = a.delta, len(word) - 1
+
+    def step(node):
+        i, q = node
+        t, pri = delta[q][word[i]]
+        return (i + 1 if i < last else loop, t), pri + 1
+    memo = {}
+    return sum(1 << r for r in range(a.n) if _walk((0, r), step, memo))
 
 
 @dataclass(frozen=True)
@@ -431,20 +440,20 @@ class Comparison:
         return not self.left_leq and not self.right_leq
 
 
+def _compare(access: dict, left: int, right: int) -> Comparison:
+    """The lasso preorder from the masks of the automaton states that
+    accept each side: only the reachable states in `access` count, and
+    u (u') is the access word of the least one accepting only the left
+    (right) side."""
+    reach = sum(1 << p for p in access)
+    u, up = (access[(bits & -bits).bit_length() - 1] if bits else None
+             for bits in (left & ~right & reach, right & ~left & reach))
+    return Comparison(u is None, up is None, u, up)
+
+
 def compare_lassos(a: Dpa, w: LassoWord, wp: LassoWord) -> Comparison:
-    access = reachable_states(a)
-    left = right = True
-    u = up = None
-    for p in sorted(access):
-        in_w = member_from(a, p, w)
-        in_wp = member_from(a, p, wp)
-        if in_w and not in_wp and left:
-            left = False
-            u = access[p]
-        if in_wp and not in_w and right:
-            right = False
-            up = access[p]
-    return Comparison(left, right, u, up)
+    return _compare(reachable_states(a), _lasso_mask(a, w),
+                    _lasso_mask(a, wp))
 
 
 @dataclass(frozen=True)

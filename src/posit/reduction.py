@@ -9,33 +9,33 @@ repeating it reaches memory one.
 
 The preorder compares lassos by the reachable automaton states that
 accept them, so `choose_merge` reads each future as a bit mask over
-those states and never spells it out, except to name an incomparable
-pair: a play from `games._walk` verdicts, a loop v^omega from v's (end
-state, least priority) codes, the form `PriorityMonoid` uses, for all
-automaton states at once.  One trace from each state finds v.
+those states and hands both to `positionality._compare`, the one
+implementation of the preorder: a play's mask from `cycles._walk`
+verdicts in the merge loop's memo, a loop v^omega's from
+`positionality._lasso_mask`.  One trace from each state finds v.
 
-`reduce_to_positional` validates and verifies the strategy once, then
-merges in place on a private working map (one move per state, with a
-predecessor index).  A merge changes only the plays of the states that
-can reach the dropped state, so each merge redirects the dropped state's
-predecessors, forgets the walk verdicts of that backward cone and
-re-walks the cone's region states; a loss raises MergeBrokeWinning.
-The chooser reads and fills the same walk memo.  Pairs come from
-per-vertex buckets and a heap, in the order of a scan over the sorted
-states, and the result is built once, in the input's order, so it
-equals a fresh merge and `verify_strategy` after every step.
+`reduce_to_positional` validates the strategy and walks every region
+state's play once, then merges in place on a private working map (one
+move per state, with a predecessor index).  A merge changes only the
+plays of the states that can reach the dropped state, so each merge
+redirects the dropped state's predecessors, forgets the walk verdicts of
+that backward cone and re-walks the cone's region states; a loss raises
+MergeBrokeWinning.  The chooser reads and fills the same walk memo.
+Pairs come from per-vertex buckets and a heap, in the order of a scan
+over the sorted states, and the result is built once, in the input's
+order, so it equals a fresh merge and `verify_strategy` after every step.
 """
 
 import heapq
 from dataclasses import dataclass
 
 from .automata import Dpa, reachable_states
+from .cycles import _walk
 from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
                      MergeBrokeWinning, NotEveOnly, PreconditionViolated,
                      UnknownLetter)
-from .games import (Game, Strategy, _one_move_step, _walk,
-                    validate_strategy, verify_strategy)
-from .positionality import _omega_mask
+from .games import Game, Strategy, _one_move_step, validate_strategy
+from .positionality import _compare, _lasso_mask
 from .words import LassoWord
 
 
@@ -64,26 +64,9 @@ def _trace(move, frm, to):
         seen[cur] = len(letters)
 
 
-def _loop_mask(a: Dpa, letters) -> int:
-    """Bit r set iff (letters)^omega is accepted from automaton state r."""
-    base = 1 + max(pri for row in a.delta for _, pri in row.values())
-    key = []
-    for r in range(a.n):
-        t, least = r, base - 1
-        for c in letters:
-            t, pri = a.delta[t][c]
-            least = min(least, pri)
-        key.append(t * base + least)
-    return _omega_mask(tuple(key), base)
-
-
-def _lasso(letters, split) -> LassoWord:
-    return LassoWord("".join(letters[:split]), "".join(letters[split:]))
-
-
 def _choose_merge(a: Dpa, sigma, move, memo, p, q) -> MergePlan:
     """`choose_merge` over the single moves `move(st) -> (letter, dst)`,
-    reading and filling `memo`, a `games._walk` memo valid for `move`."""
+    reading and filling `memo`, a `cycles._walk` memo valid for `move`."""
     if p not in sigma or q not in sigma:
         raise PreconditionViolated("unknown state")
     if p == q or sigma[p] != sigma[q]:
@@ -94,34 +77,30 @@ def _choose_merge(a: Dpa, sigma, move, memo, p, q) -> MergePlan:
     def future(st, other):
         """What st's play becomes if st survives: the loop v^omega that
         its trace closes through `other`, else its own play.  Returned
-        as (st, mask of the reachable automaton states accepting it, the
-        letters read and where their cycle starts, whether it loops)."""
+        as (st, mask of the automaton states accepting it, the lasso,
+        whether it loops)."""
         letters, split = _trace(move, st, other)
         if split is None:
-            mask = _loop_mask(a, letters) & sum(1 << r for r in access)
-            return st, mask, letters, 0, True
+            loop = LassoWord("", "".join(letters))
+            return st, _lasso_mask(a, loop), loop, True
         mask = sum(1 << r for r in access if _walk((st, r), step, memo))
-        return st, mask, letters, split, False
+        return st, mask, LassoWord("".join(letters[:split]),
+                                   "".join(letters[split:])), False
 
     p_side, q_side = future(p, q), future(q, p)
     # 1: neither trace reaches the other state, 2: only p's, 3: only
     # q's, 4: both, so p and q share a cycle
-    case = 1 + p_side[4] + 2 * q_side[4]
-    left, right = (q_side, p_side) if q_side[4] else (p_side, q_side)
-    # the least reachable states accepting only one side: what the
-    # sorted scan of compare_lassos(a, left, right) reports
-    left_only, right_only = left[1] & ~right[1], right[1] & ~left[1]
-    if left_only and right_only:
-        raise IncomparableLassos(
-            "%s and %s are incomparable (u=%r, u'=%r)"
-            % (_lasso(*left[2:4]), _lasso(*right[2:4]),
-               access[(left_only & -left_only).bit_length() - 1],
-               access[(right_only & -right_only).bit_length() - 1]))
-    if case in (1, 4) and not left_only and not right_only:
+    case = 1 + p_side[3] + 2 * q_side[3]
+    left, right = (q_side, p_side) if q_side[3] else (p_side, q_side)
+    c = _compare(access, left[1], right[1])
+    if c.incomparable:
+        raise IncomparableLassos("%s and %s are incomparable (u=%r, u'=%r)"
+                                 % (left[2], right[2], c.u, c.up))
+    if case in (1, 4) and c.equivalent:
         keep, drop = sorted((p, q))  # equal plays or loops: smaller id
     else:
         # the right side's state survives unless the left is strictly better
-        keep, drop = (left[0], right[0]) if left_only else (right[0], left[0])
+        keep, drop = (right[0], left[0]) if c.left_leq else (left[0], right[0])
     return MergePlan(keep, drop, case)
 
 
@@ -246,16 +225,16 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
         raise NotEveOnly("reduction needs an Eve-only arena")
     validate_strategy(g, s)
     region = set(region)
-    if not verify_strategy(g, s, [st for st in s.states
-                                  if s.sigma[st] in region]):
-        raise PreconditionViolated(
-            "strategy must win from every memory state over the region")
     work = _Working(g, s)
-    pairs = _SharedPairs(s.sigma)
     move = work.move.__getitem__
     step = _one_move_step(g.condition, move)
     q0, n = g.condition.initial, g.condition.n
     memo = {}  # (state, automaton state) -> Eve wins the play from it
+    if not all(_walk((st, q0), step, memo) for st in s.states
+               if s.sigma[st] in region):
+        raise PreconditionViolated(
+            "strategy must win from every memory state over the region")
+    pairs = _SharedPairs(s.sigma)
     while True:
         pair = pairs.least()
         if pair is None:

@@ -10,10 +10,10 @@ written out again by hand so a typo in either copy shows up.
 import random
 from itertools import product
 
-from posit import (Alphabet, Dpa, IncomparableLassos, InvalidPlan,
-                   LassoWord, MergeBrokeWinning, MergePlan, NotEveOnly,
-                   PreconditionViolated, PropertyReport, Strategy, Witness1,
-                   Witness2, Witness3, compare_lassos, complement_shift,
+from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
+                   InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
+                   NotEveOnly, PreconditionViolated, PropertyReport, Strategy,
+                   Witness1, Witness2, Witness3, complement_shift,
                    member_from, prepend, reachable_states, validate_strategy,
                    verify_strategy)
 from posit.cycles import accepting_lasso_from
@@ -523,16 +523,35 @@ def merge(s: Strategy, plan: MergePlan) -> Strategy:
     return Strategy(states, edges, sigma)
 
 
+def ref_compare_lassos(a: Dpa, w: LassoWord, wp: LassoWord) -> Comparison:
+    """`compare_lassos` by membership: run both lassos with `member_from`
+    from every reachable state, least first, and report the first state
+    accepting only one side, in each direction."""
+    access = reachable_states(a)
+    left = right = True
+    u = up = None
+    for p in sorted(access):
+        in_w = member_from(a, p, w)
+        in_wp = member_from(a, p, wp)
+        if in_w and not in_wp and left:
+            left = False
+            u = access[p]
+        if in_wp and not in_w and right:
+            right = False
+            up = access[p]
+    return Comparison(left, right, u, up)
+
+
 def ref_choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
     """`choose_merge` on strings: spell the lassos out with `path_word`
-    and `unique_path_lasso`, and compare them with `compare_lassos`."""
+    and `unique_path_lasso`, and compare them with `ref_compare_lassos`."""
     if p not in s.sigma or q not in s.sigma:
         raise PreconditionViolated("unknown state")
     if p == q or s.sigma[p] != s.sigma[q]:
         raise PreconditionViolated("states must be distinct and share a vertex")
 
     def compared(left: LassoWord, right: LassoWord):
-        c = compare_lassos(a, left, right)
+        c = ref_compare_lassos(a, left, right)
         if c.incomparable:
             raise IncomparableLassos(
                 "%s and %s are incomparable (u=%r, u'=%r)"

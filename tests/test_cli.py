@@ -228,6 +228,23 @@ class TestSelftest:
         assert rc == 0
         assert "arenas: 100/100 reduced to positional" in out.splitlines()
 
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--max-vertices", "0", 1), ("--max-vertices", "-4", 1),
+        ("--trials", "-3", 0)])
+    def test_out_of_range_flags_exit_2(self, capsys, flag, value, low):
+        # --max-vertices 0 used to die dividing by zero, and --trials -3
+        # to report "arenas: 0/-3" and pass
+        for name in ("buchi_a", "w2"):
+            assert run(capsys, "selftest", fixture_path(name), flag, value) \
+                == (2, "", "error: %s must be at least %d, not %s\n"
+                    % (flag, low, value))
+
+    def test_zero_trials_pass(self, capsys):
+        rc, out, _ = run(capsys, "selftest", fixture_path("buchi_a"),
+                         "--trials", "0")
+        assert rc == 0
+        assert "arenas: 0/0 reduced to positional" in out.splitlines()
+
     def test_witness_branch(self, capsys):
         rc, out, _ = run(capsys, "selftest", fixture_path("w2"))
         assert rc == 0

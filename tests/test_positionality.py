@@ -2,26 +2,29 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import posit
 from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
-                   PreconditionViolated, PriorityMonoid, Witness1, Witness2,
-                   Witness3, WitnessRecheckFailed, check_positional,
-                   check_property1, check_property2, check_property3,
-                   compare_lassos, member, member_from, verify_order_laws,
-                   witness_from_dict)
+                   PreconditionViolated, PriorityMonoid, UnknownLetter,
+                   Witness1, Witness2, Witness3, WitnessRecheckFailed,
+                   check_positional, check_property1, check_property2,
+                   check_property3, compare_lassos, member, member_from,
+                   reachable_states, verify_order_laws, witness_from_dict)
 from posit import positionality
-from posit.positionality import _return_word
+from posit.positionality import _lasso_mask, _return_word
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
                      certify_witness, lassos_up_to, perm_parity, random_dpa,
-                     ref_compose, ref_monoid, ref_omega_accept,
-                     ref_property1, ref_property2, ref_property3,
-                     ref_return_word, word_behavior, words_up_to)
+                     random_lassos, ref_compare_lassos, ref_compose,
+                     ref_monoid, ref_omega_accept, ref_property1,
+                     ref_property2, ref_property3, ref_return_word,
+                     word_behavior, words_up_to)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 
@@ -281,6 +284,55 @@ class TestCompare:
         a = load_dpa("buchi_a")
         c = compare_lassos(a, LassoWord("", "a"), LassoWord("b", "ab"))
         assert c.equivalent
+
+    @pytest.mark.parametrize("w, wp", [
+        (LassoWord("", "z"), LassoWord("", "a")),
+        (LassoWord("a", "b"), LassoWord("z", "a")),
+        (LassoWord("a", "bz"), LassoWord("", "y")),
+    ])
+    def test_unknown_letter_raises_unknown_letter(self, w, wp):
+        # the walk reads transition rows directly, where a stray letter
+        # would be a KeyError; the first one read is named, as Dpa.step
+        # names it
+        a = load_dpa("res")
+        for compare in (compare_lassos, ref_compare_lassos):
+            with pytest.raises(UnknownLetter,
+                               match="^letter 'z' not in alphabet$"):
+                compare(a, w, wp)
+
+
+class TestCompareMatchesReference:
+    """`compare_lassos` walks each lasso once for all automaton states;
+    the reference runs `member_from` from each reachable state."""
+
+    def test_fixtures_and_random_draws(self):
+        rng = random.Random(12)
+        automata = ([(load_dpa(name), 12) for name in DPA_NAMES]
+                    + [(random_dpa(rng, max_states=4), 4)
+                       for _ in range(1000)])
+        kinds = Counter()
+        for seed, (a, size) in enumerate(automata):
+            pool = random_lassos(a.alphabet, size, seed, 2, 3)
+            for w, wp in permutations(pool, 2):
+                c = compare_lassos(a, w, wp)
+                assert c == ref_compare_lassos(a, w, wp), (a.delta, w, wp)
+                kinds["incomparable" if c.incomparable else
+                      "equivalent" if c.equivalent else "strict"] += 1
+        assert kinds["incomparable"] >= 50, kinds
+        assert kinds["equivalent"] >= 1000 and kinds["strict"] >= 1000, kinds
+
+    def test_mask_bits_are_memberships_from_every_state(self):
+        rng = random.Random(13)
+        unreachable = 0
+        for seed in range(1000):
+            a = random_dpa(rng, max_states=4)
+            unreachable += len(reachable_states(a)) < a.n
+            for w in random_lassos(a.alphabet, 3, seed):
+                mask = _lasso_mask(a, w)
+                assert mask >> a.n == 0
+                assert [bool(mask >> r & 1) for r in range(a.n)] == \
+                    [member_from(a, r, w) for r in range(a.n)], (a.delta, w)
+        assert unreachable >= 100, unreachable
 
 
 class TestOrderLaws:
