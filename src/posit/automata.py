@@ -83,6 +83,45 @@ class Dpa:
         return "Dpa(%d states over %r)" % (self.n, "".join(self.alphabet))
 
 
+def _number(no: int, token: str, what: str) -> int:
+    """`token` read as a count or priority.  Only ASCII digits are taken:
+    int() would also read '1_0' and the digits of other scripts."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError("line %d: bad %s %r" % (no, what, token))
+
+
+def _state_names(no: int, rest, alphabet: Alphabet, trans):
+    """The names a `states` line declares: a count or a list of names.
+
+    A complete automaton has one `trans` line per state and letter, so a
+    count that the file's `trans` lines cannot fill is refused before
+    any name is built.  The first state and letter left without a line
+    are then among the first len(trans) // len(alphabet) + 1 states.
+    """
+    if len(rest) == 1 and rest[0].isdigit():
+        count = _number(no, rest[0], "state count")
+        if count * len(alphabet) > len(trans):
+            given = {(src, c) for _no, (src, c, _tgt, _pri) in trans}
+            q, c = next((q, c) for q in range(count) for c in alphabet
+                        if (str(q), c) not in given)
+            raise ParseError(
+                "line %d: %d states need %d trans lines, the file has %d: "
+                "state %d has no transition on %r"
+                % (no, count, count * len(alphabet), len(trans), q, c))
+        names = tuple(str(i) for i in range(count))
+    else:
+        names = tuple(rest)
+    for name in names:
+        if RESERVED in name:
+            raise ParseError(
+                "line %d: %r is reserved in state names" % (no, RESERVED))
+    return names
+
+
 def parse_dpa(text: str) -> Dpa:
     lines = []
     for no, raw in enumerate(text.splitlines(), 1):
@@ -93,7 +132,7 @@ def parse_dpa(text: str) -> Dpa:
         raise ParseError("expected 'dpa v1' header")
 
     alphabet = None
-    names = None
+    states = None
     initial_tok = None
     trans = []
     for no, toks in lines[1:]:
@@ -103,23 +142,11 @@ def parse_dpa(text: str) -> Dpa:
                 raise ParseError("line %d: duplicate alphabet" % no)
             alphabet = Alphabet(rest)
         elif key == "states":
-            if names is not None:
+            if states is not None:
                 raise ParseError("line %d: duplicate states" % no)
-            if len(rest) == 1 and rest[0].isdigit():
-                try:
-                    count = int(rest[0])
-                except ValueError:
-                    raise ParseError("line %d: bad state count %r"
-                                     % (no, rest[0])) from None
-                names = tuple(str(i) for i in range(count))
-            elif rest:
-                names = tuple(rest)
-            else:
+            if not rest:
                 raise ParseError("line %d: empty states line" % no)
-            for name in names:
-                if RESERVED in name:
-                    raise ParseError(
-                        "line %d: %r is reserved in state names" % (no, RESERVED))
+            states = (no, rest)
         elif key == "initial":
             if initial_tok is not None:
                 raise ParseError("line %d: duplicate initial" % no)
@@ -136,10 +163,11 @@ def parse_dpa(text: str) -> Dpa:
 
     if alphabet is None:
         raise ParseError("missing alphabet line")
-    if names is None:
+    if states is None:
         raise ParseError("missing states line")
     if initial_tok is None:
         raise ParseError("missing initial line")
+    names = _state_names(*states, alphabet, trans)
     ids = {name: i for i, name in enumerate(names)}
     if len(ids) != len(names):
         raise ParseError("duplicate state name")
@@ -154,11 +182,8 @@ def parse_dpa(text: str) -> Dpa:
             raise ParseError("line %d: unknown state %r" % (no, tgt))
         if c not in alphabet:
             raise ParseError("line %d: letter %r not in alphabet" % (no, c))
-        try:
-            pri = int(pri_tok)
-        except ValueError:
-            raise ParseError("line %d: bad priority %r" % (no, pri_tok)) from None
-        if not 0 <= pri <= MAX_PRIORITY:
+        pri = _number(no, pri_tok, "priority")
+        if pri > MAX_PRIORITY:
             raise ParseError(
                 "line %d: priority %d outside 0..%d" % (no, pri, MAX_PRIORITY))
         row = delta[ids[src]]

@@ -2,13 +2,16 @@
 
 Graphs are plain dicts mapping a node to a list of (letter, successor,
 priorities) triples, where priorities is a tuple with one entry per
-acceptance coordinate.  Every product of a letter-labelled graph with an
-automaton is built by `reachable_graph`, from its roots and a function
-giving each node's edges.  There are two evaluators.  The sweep, for
-branching graphs, enumerates even threshold tuples in ascending order;
-for each it keeps only edges at or above the thresholds, decomposes into
-strongly connected components and looks for a component containing, for
-every coordinate, an edge meeting the threshold exactly.  Any cycle
+acceptance coordinate.  Every graph explored from roots (the residual
+graph, a strategy's plays and their product with an automaton) is built
+by `reachable_graph`, from its roots and a function giving each node's
+edges; the arena × automaton game, whose every node is a root, is
+numbered directly by `games.product_game`.  There are two evaluators.
+The sweep, for branching graphs, enumerates even threshold tuples in
+ascending order; for each it keeps only edges at or above the
+thresholds, decomposes into strongly connected components and looks for
+a component containing, for every coordinate, an edge meeting the
+threshold exactly.  Any cycle
 through such edges has exactly the threshold tuple as its coordinate
 minima, hence is accepting in every coordinate.  The linear walk
 `_walk`, for graphs in which every node has one move, follows the unique

@@ -7,9 +7,14 @@ letters it produces is accepted.  Strategies are letter-labelled graphs
 mapped onto the arena: memory states refine arena vertices, so the
 number of memory states per vertex bounds the memory needed.
 
-Two products with the condition are built here: the arena with the
-automaton, a parity game that Zielonka's algorithm solves
-(`product_game`), and a strategy with the complement automaton, whose
+Two products with the condition are built here.  The first is the
+arena with the automaton, a parity game (`product_game`).  Every
+(vertex, state) pair is one of its nodes, so it is numbered outright,
+node (v, q) as rank(v)·n + q, and stored as flat integer lists.
+Zielonka's algorithm solves it on node numbers (`_zielonka` over the
+edge-split game `_Split`), and `solve_game` builds the play of the
+winning choice over the same numbers, naming memory states only at the
+end.  The second is a strategy with the complement automaton, whose
 reachable accepting cycles are the plays the strategy loses (`_wins`,
 which `verify_strategy` and `find_positional` share).  When every node
 of that product has one move, as for any strategy on an Eve-only arena,
@@ -18,12 +23,12 @@ sweep of `cycles.nodes_reaching_accepting_cycle` does.  `_one_move_step`
 gives the walk's step on a strategy's single moves, so the merge loop of
 `reduction.reduce_to_positional` runs the same walk on its working map
 and keeps the memo across merges.
-Both, and the plays of a fixed choice in `solve_game` and
-`find_positional`, are built by `cycles.reachable_graph`.
+`cycles.reachable_graph` builds only plays: that second product, and
+the plays of a fixed choice in `solve_game` and `find_positional`.
 """
 
-from collections import deque
-from itertools import product as iproduct
+from itertools import chain, count, product as iproduct, repeat
+from operator import add, sub
 from math import prod
 import random
 
@@ -137,95 +142,133 @@ class Game:
 
 
 class ParityGame:
-    """Explicit parity game: owners per node, priorities on edges."""
+    """The arena × automaton parity game, numbered and stored flat.
 
-    def __init__(self, owners: dict, edges: dict):
+    Node (v, q) is numbered rank(v)·n + q, where rank orders the vertex
+    names (`names`) and n is the number of automaton states.  `owners`
+    holds each node's owner.  The edges of node i are offsets[i] up to
+    offsets[i + 1] of the per-edge lists `target` (a node number),
+    `priority` and `letter`, in the arena's out-edge order.
+    """
+
+    def __init__(self, names, n, owners, offsets, target, priority, letter):
+        self.names = names
+        self.n = n
         self.owners = owners
-        self.edges = edges
+        self.offsets = offsets
+        self.target = target
+        self.priority = priority
+        self.letter = letter
+
+    def node(self, i):
+        """The (vertex, state) pair numbered i."""
+        return self.names[i // self.n], i % self.n
 
 
 def product_game(g: Game) -> ParityGame:
-    arena, delta = g.arena, g.condition.delta
+    arena, delta, n = g.arena, g.condition.delta, g.condition.n
+    names = sorted(arena.owners)
+    base = {v: r * n for r, v in enumerate(names)}
+    owners, offsets, target, priority, letter = [], [0], [], [], []
+    # A vertex's edges over every state depend only on its letters:
+    # (successor states, priorities, letters), state-major.
+    rows = {}
+    for v in names:
+        out = arena.out_edges(v)
+        letters = tuple(c for c, _dst in out)
+        if letters not in rows:
+            moves = [row[c] for row in delta for c in letters]
+            rows[letters] = ([q2 for q2, _p in moves],
+                             [p for _q2, p in moves], letters * n)
+        states, pris, lets = rows[letters]
+        target += map(add, [base[dst] for _c, dst in out] * n, states)
+        priority += pris
+        letter += lets
+        deg, end = len(letters), offsets[-1]
+        offsets += range(end + deg, end + deg * n + 1, deg)
+        owners += [arena.owners[v]] * n
+    return ParityGame(names, n, owners, offsets, target, priority, letter)
 
-    def moves(node):
-        row = delta[node[1]]
-        out = []
-        for letter, dst in arena.out_edges(node[0]):
-            q2, pri = row[letter]
-            out.append((letter, (dst, q2), pri))
-        return out
 
-    edges = reachable_graph(
-        [(v, q) for v in arena.owners for q in range(g.condition.n)], moves)
-    return ParityGame({node: arena.owners[node[0]] for node in edges}, edges)
+class _Split:
+    """The vertex-priority game obtained by splitting each edge of `pg`.
 
-
-class _Expanded:
-    """Vertex-priority parity game obtained by splitting each edge.
-
-    Edge nodes carry the edge priority and belong to Adam (they have a
-    single move, so ownership is irrelevant); original nodes carry a
-    neutral priority above every edge priority.
+    Product node i keeps its number; edge j becomes node N + j, where N
+    is the number of product nodes.  Edge nodes carry the edge priority
+    and belong to Adam (they have a single move, so ownership is
+    irrelevant); product nodes carry a neutral priority above every edge
+    priority.  Node numbers stand in for the nodes: `src` maps an edge
+    node to the product node it leaves, `pred` lists the edge nodes
+    entering each product node in ascending order, and `nodes_at` holds
+    the nodes of each priority, with `priorities` ascending.
     """
 
     def __init__(self, pg: ParityGame):
-        self.orig = sorted(pg.owners)
-        index = {v: i for i, v in enumerate(self.orig)}
-        maxpri = 0
-        for moves in pg.edges.values():
-            for _c, _d, pri in moves:
-                maxpri = max(maxpri, pri)
-        self.owner = []
-        self.pri = []
-        self.succ = []
-        self.edge_info = []
-        for v in self.orig:
-            self.owner.append(pg.owners[v])
-            self.pri.append(maxpri + 1)
-            self.succ.append([])
-            self.edge_info.append(None)
-        for i, v in enumerate(self.orig):
-            for k, (_c, dst, pri) in enumerate(pg.edges[v]):
-                nid = len(self.owner)
-                self.owner.append(ADAM)
-                self.pri.append(pri)
-                self.succ.append([index[dst]])
-                self.edge_info.append((i, k))
-                self.succ[i].append(nid)
-        self.pred = [[] for _ in self.owner]
-        for u, outs in enumerate(self.succ):
-            for w in outs:
-                self.pred[w].append(u)
+        nodes = self.nodes = len(pg.owners)
+        self.owners = pg.owners
+        self.offsets = offsets = pg.offsets
+        # indexed by node number; product nodes have no source
+        self.src = [None] * nodes
+        self.src += chain.from_iterable(
+            map(repeat, range(nodes), map(sub, offsets[1:], offsets)))
+        self.pred = pred = [[] for _ in range(nodes)]
+        top = max(pg.priority, default=0) + 1
+        self.nodes_at = nodes_at = {p: set() for p in set(pg.priority)}
+        for e, dst, pri in zip(count(nodes), pg.target, pg.priority):
+            pred[dst].append(e)
+            nodes_at[pri].add(e)
+        nodes_at[top] = set(range(nodes))
+        self.priorities = sorted(nodes_at)
+
+    def edge_nodes(self, i):
+        return range(self.nodes + self.offsets[i],
+                     self.nodes + self.offsets[i + 1])
 
 
-def _attract(exp: _Expanded, region: set, target, player: str):
-    """Player's attractor to `target` inside `region`, with a chosen
-    successor for each newly attracted player node."""
-    acc = set(target)
+def _attract(sg: _Split, region: set, target, player: str):
+    """Player's attractor to `target` (sorted) inside `region`, with the
+    chosen edge node of each newly attracted Eve product node.
+
+    This is the breadth-first attractor of the split game from queue
+    `target`.  There a popped product node attracts edge nodes and a
+    popped edge node may attract a product node, so each kind changes
+    only the other's state, and the result depends on the order within
+    each kind, not on how the two interleave.  So an edge node is
+    handled as soon as it is attracted, which keeps the edge nodes in
+    queue order, those of `target` first, before any product node pops.
+    """
+    nodes, src, owners = sg.nodes, sg.src, sg.owners
+    queue = [v for v in target if v < nodes]
+    acc = set(queue)
+    attract, push = acc.add, queue.append
     choice = {}
     counts = {}
-    queue = deque(sorted(target))
-    while queue:
-        v = queue.popleft()
-        for u in exp.pred[v]:
-            if u not in region or u in acc:
+    for edges in chain([target[len(queue):]], map(sg.pred.__getitem__, queue)):
+        for e in edges:
+            if e in acc or e not in region:
                 continue
-            if exp.owner[u] == player:
-                acc.add(u)
-                choice[u] = v
-                queue.append(u)
+            attract(e)
+            i = src[e]
+            if i in acc or i not in region:
+                continue
+            if owners[i] == player:
+                if player == EVE:
+                    choice[i] = e
             else:
-                if u not in counts:
-                    counts[u] = sum(1 for s in exp.succ[u] if s in region)
-                counts[u] -= 1
-                if counts[u] == 0:
-                    acc.add(u)
-                    queue.append(u)
+                left = counts.get(i)
+                if left is None:
+                    left = sum(map(region.__contains__, sg.edge_nodes(i)))
+                counts[i] = left = left - 1
+                if left:
+                    continue
+            attract(i)
+            push(i)
     return acc, choice
 
 
-def _zielonka(exp: _Expanded, region: set):
-    """(eve nodes, adam nodes, chosen successor per winning owned node).
+def _zielonka(sg: _Split, region: set):
+    """(eve nodes, adam nodes, chosen edge node per winning Eve product
+    node).
 
     Recursion only descends below the least priority of `region`, so its
     depth is at most the number of distinct priorities; the opponent's
@@ -234,35 +277,50 @@ def _zielonka(exp: _Expanded, region: set):
     won = {EVE: set(), ADAM: set()}
     choice = {}
     while region:
-        d = min(exp.pri[v] for v in region)
-        player = EVE if d % 2 == 0 else ADAM
-        other = ADAM if player == EVE else EVE
-        target = sorted(v for v in region if exp.pri[v] == d)
-        area, achoice = _attract(exp, region, target, player)
-        we, wa, sub = _zielonka(exp, region - area)
+        d = next(p for p in sg.priorities
+                 if not region.isdisjoint(sg.nodes_at[p]))
+        player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
+        target = sorted(region.intersection(sg.nodes_at[d]))
+        area, achoice = _attract(sg, region, target, player)
+        we, wa, inner = _zielonka(sg, region - area)
         wopp = wa if player == EVE else we
         if not wopp:
-            for v in area:
-                if exp.owner[v] == player and v not in achoice and v not in sub:
-                    achoice[v] = next(s for s in exp.succ[v] if s in region)
-            choice.update(sub)
+            if player == EVE:
+                # Only Eve's target nodes in `area` have no choice yet.
+                for v in target:
+                    if v < sg.nodes and sg.owners[v] == EVE:
+                        achoice[v] = next(e for e in sg.edge_nodes(v)
+                                          if e in region)
+            choice.update(inner)
             choice.update(achoice)
             won[player] |= region
             break
-        barrier, bchoice = _attract(exp, region, sorted(wopp), other)
-        choice.update((v, sub[v]) for v in wopp
-                      if exp.owner[v] == other and v in sub)
+        barrier, bchoice = _attract(sg, region, sorted(wopp), other)
+        if other == EVE:
+            choice.update((v, e) for v, e in inner.items() if v in wopp)
         choice.update(bchoice)
         won[other] |= barrier
         region = region - barrier
     return won[EVE], won[ADAM], choice
 
 
+def _solve(pg: ParityGame):
+    """(Eve's winning product nodes, the edge index each Eve node of
+    them plays)."""
+    sg = _Split(pg)
+    total = sg.nodes + len(pg.target)
+    eve, adam, choice = _zielonka(sg, set(range(total)))
+    if len(eve) + len(adam) != total:
+        raise AssertionError("winning regions do not partition the game")
+    return (eve.intersection(range(sg.nodes)),
+            {i: e - sg.nodes for i, e in choice.items()})
+
+
 class SolveResult:
     """Winning regions of a parity game plus positional move choices.
 
-    eve_choice maps an Eve node inside her region to the index of the
-    edge to play.
+    Nodes are (vertex, state) pairs; eve_choice maps an Eve node inside
+    her region to the index of the edge to play.
     """
 
     def __init__(self, eve_region, adam_region, eve_choice):
@@ -272,19 +330,16 @@ class SolveResult:
 
 
 def solve_parity(pg: ParityGame) -> SolveResult:
-    exp = _Expanded(pg)
-    eve, adam, choice = _zielonka(exp, set(range(len(exp.owner))))
-    if len(eve) + len(adam) != len(exp.owner):
-        raise AssertionError("winning regions do not partition the game")
+    eve, choice = _solve(pg)
     eve_region = set()
     adam_region = set()
     eve_choice = {}
-    for i, v in enumerate(exp.orig):
+    for i in range(len(pg.owners)):
+        v = pg.node(i)
         if i in eve:
             eve_region.add(v)
-            if exp.owner[i] == EVE:
-                _vi, k = exp.edge_info[choice[i]]
-                eve_choice[v] = k
+            if pg.owners[i] == EVE:
+                eve_choice[v] = choice[i] - pg.offsets[i]
         else:
             adam_region.add(v)
     return SolveResult(eve_region, adam_region, eve_choice)
@@ -375,26 +430,27 @@ def solve_game(g: Game) -> GameSolution:
     of automaton states.
     """
     pg = product_game(g)
-    res = solve_parity(pg)
+    eve, choice = _solve(pg)
+    owners, offsets, letter, target = (pg.owners, pg.offsets, pg.letter,
+                                       pg.target)
     q0 = g.condition.initial
-    region = sorted(v for v in g.arena.owners if (v, q0) in res.eve_region)
+    starts = [i for i in range(q0, len(owners), pg.n) if i in eve]
 
-    def moves(node):
-        out = pg.edges[node]
-        if g.arena.owners[node[0]] == EVE:
-            return [out[res.eve_choice[node]]]
-        return out
+    def moves(i):
+        edges = [choice[i]] if owners[i] == EVE else range(offsets[i],
+                                                          offsets[i + 1])
+        return [(letter[j], target[j]) for j in edges]
 
-    play = reachable_graph([(v, q0) for v in region], moves)
-    if not res.eve_region.issuperset(play):
+    play = reachable_graph(starts, moves)
+    if not eve.issuperset(play):
         raise AssertionError("the product strategy leaves Eve's region")
-    edges = [(_mstate(g, *node), letter, _mstate(g, *dst))
-             for node, out in play.items() for letter, dst, _pri in out]
-    states = [_mstate(g, *node) for node in play]
-    sigma = {_mstate(g, *node): node[0] for node in play}
-    strategy = Strategy(states, edges, sigma)
-    return GameSolution(set(region), strategy,
-                        [_mstate(g, v, q0) for v in region])
+    label = {i: _mstate(g, *pg.node(i)) for i in play}
+    edges = [(label[i], c, label[dst])
+             for i, out in play.items() for c, dst in out]
+    sigma = {label[i]: pg.node(i)[0] for i in play}
+    strategy = Strategy(label.values(), edges, sigma)
+    return GameSolution({pg.node(i)[0] for i in starts}, strategy,
+                        [label[i] for i in starts])
 
 
 def _one_move_step(a: Dpa, move):

@@ -8,6 +8,7 @@ written out again by hand so a typo in either copy shows up.
 """
 
 import random
+from collections import deque
 from itertools import product
 
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
@@ -17,8 +18,10 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    member_from, prepend, reachable_states, validate_strategy,
                    verify_strategy)
 from posit.cycles import accepting_lasso_from
+from posit.games import SolveResult
 
 EVE = "E"
+ADAM = "A"
 
 # ---------------------------------------------------------------------------
 # semantic membership predicates on the lasso structure
@@ -452,6 +455,130 @@ def brute_eve_region(owners: dict, edges: dict):
                     stack.append(u)
         won |= {v for v in nodes if v not in bad}
     return won
+
+
+# ---------------------------------------------------------------------------
+# Zielonka on the edge-split product, built from Python objects: every
+# node a (vertex, state) tuple, every split node a list of successors
+
+def ref_product_game(g):
+    """(owners, edges) of the arena × automaton game, keyed by (vertex,
+    state): edges[node] lists (letter, successor, priority)."""
+    arena, delta = g.arena, g.condition.delta
+    owners, edges = {}, {}
+    for v in arena.owners:
+        for q in range(g.condition.n):
+            owners[(v, q)] = arena.owners[v]
+            edges[(v, q)] = [(c, (dst, delta[q][c][0]), delta[q][c][1])
+                             for c, dst in arena.out_edges(v)]
+    return owners, edges
+
+
+class _RefExpanded:
+    """Vertex-priority parity game obtained by splitting each edge.
+
+    Edge nodes carry the edge priority and belong to Adam; original
+    nodes carry a neutral priority above every edge priority.
+    """
+
+    def __init__(self, owners: dict, edges: dict):
+        self.orig = sorted(owners)
+        index = {v: i for i, v in enumerate(self.orig)}
+        maxpri = 0
+        for moves in edges.values():
+            for _c, _d, pri in moves:
+                maxpri = max(maxpri, pri)
+        self.owner = []
+        self.pri = []
+        self.succ = []
+        self.edge_info = []
+        for v in self.orig:
+            self.owner.append(owners[v])
+            self.pri.append(maxpri + 1)
+            self.succ.append([])
+            self.edge_info.append(None)
+        for i, v in enumerate(self.orig):
+            for k, (_c, dst, pri) in enumerate(edges[v]):
+                nid = len(self.owner)
+                self.owner.append(ADAM)
+                self.pri.append(pri)
+                self.succ.append([index[dst]])
+                self.edge_info.append((i, k))
+                self.succ[i].append(nid)
+        self.pred = [[] for _ in self.owner]
+        for u, outs in enumerate(self.succ):
+            for w in outs:
+                self.pred[w].append(u)
+
+
+def _ref_attract(exp, region: set, target, player: str):
+    acc = set(target)
+    choice = {}
+    counts = {}
+    queue = deque(sorted(target))
+    while queue:
+        v = queue.popleft()
+        for u in exp.pred[v]:
+            if u not in region or u in acc:
+                continue
+            if exp.owner[u] == player:
+                acc.add(u)
+                choice[u] = v
+                queue.append(u)
+            else:
+                if u not in counts:
+                    counts[u] = sum(1 for s in exp.succ[u] if s in region)
+                counts[u] -= 1
+                if counts[u] == 0:
+                    acc.add(u)
+                    queue.append(u)
+    return acc, choice
+
+
+def _ref_zielonka(exp, region: set):
+    won = {EVE: set(), ADAM: set()}
+    choice = {}
+    while region:
+        d = min(exp.pri[v] for v in region)
+        player = EVE if d % 2 == 0 else ADAM
+        other = ADAM if player == EVE else EVE
+        target = sorted(v for v in region if exp.pri[v] == d)
+        area, achoice = _ref_attract(exp, region, target, player)
+        we, wa, sub = _ref_zielonka(exp, region - area)
+        wopp = wa if player == EVE else we
+        if not wopp:
+            for v in area:
+                if exp.owner[v] == player and v not in achoice and v not in sub:
+                    achoice[v] = next(s for s in exp.succ[v] if s in region)
+            choice.update(sub)
+            choice.update(achoice)
+            won[player] |= region
+            break
+        barrier, bchoice = _ref_attract(exp, region, sorted(wopp), other)
+        choice.update((v, sub[v]) for v in wopp
+                      if exp.owner[v] == other and v in sub)
+        choice.update(bchoice)
+        won[other] |= barrier
+        region = region - barrier
+    return won[EVE], won[ADAM], choice
+
+
+def ref_solve_parity(owners: dict, edges: dict) -> SolveResult:
+    exp = _RefExpanded(owners, edges)
+    eve, adam, choice = _ref_zielonka(exp, set(range(len(exp.owner))))
+    assert len(eve) + len(adam) == len(exp.owner)
+    eve_region = set()
+    adam_region = set()
+    eve_choice = {}
+    for i, v in enumerate(exp.orig):
+        if i in eve:
+            eve_region.add(v)
+            if exp.owner[i] == EVE:
+                _vi, k = exp.edge_info[choice[i]]
+                eve_choice[v] = k
+        else:
+            adam_region.add(v)
+    return SolveResult(eve_region, adam_region, eve_choice)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,28 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse_dpa(GOOD + "trans 1 b 1 0\n")
 
+    def test_state_count_beyond_the_trans_lines(self):
+        # refused before a single name is built
+        text = GOOD.replace("states 2", "states 1000000000000")
+        with pytest.raises(ParseError, match="line 3: 1000000000000 states "
+                           "need 2000000000000 trans lines, the file has 4: "
+                           "state 2 has no transition on 'a'"):
+            parse_dpa(text)
+        with pytest.raises(ParseError, match="2 states need 4 trans lines, "
+                           "the file has 3: state 0 has no transition on 'b'"):
+            parse_dpa(GOOD.replace("trans 0 b 0 1\n", ""))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("trans 0 a 1 3", "trans 0 a 1 1_0", "line 5: bad priority '1_0'"),
+        ("trans 0 a 1 3", "trans 0 a 1 \u0663", "bad priority"),
+        ("trans 0 a 1 3", "trans 0 a 1 +3", "bad priority"),
+        ("states 2", "states \u0662", "line 3: bad state count"),
+    ])
+    def test_numbers_are_ascii_digits(self, old, new, message):
+        # int() reads '1_0' as 10 and the Arabic-Indic digit three as 3
+        with pytest.raises(ParseError, match=message):
+            parse_dpa(GOOD.replace(old, new))
+
     def test_reserved_character_in_name(self):
         text = "\n".join(["dpa v1", "alphabet a", "states p@0",
                           "initial p@0", "trans p@0 a p@0 0"])

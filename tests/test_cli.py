@@ -176,6 +176,15 @@ class TestErrors:
         rc, _, err = run(capsys, "check", str(bad))
         assert (rc, err) == (2, "error: line 3: bad state count '²'\n")
 
+    def test_state_count_beyond_the_trans_lines(self, capsys, tmp_path):
+        bad = tmp_path / "huge.dpa"
+        bad.write_text("dpa v1\nalphabet a\nstates 1000000000000\n"
+                       "initial 0\ntrans 0 a 0 0\n", encoding="utf-8")
+        rc, _, err = run(capsys, "check", str(bad))
+        assert (rc, err) == (2, "error: line 3: 1000000000000 states need "
+                                "1000000000000 trans lines, the file has 1: "
+                                "state 1 has no transition on 'a'\n")
+
     def test_file_not_utf8(self, capsys, tmp_path):
         bad = tmp_path / "latin1.arena"
         bad.write_bytes(b"arena v1\n# caf\xe9\n")

@@ -12,7 +12,7 @@ from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
 from posit import games
 from posit.cycles import nodes_reaching_accepting_cycle, reachable_graph
 from posit.games import product_game
-from posit.fixtures import load_arena, load_dpa
+from posit.fixtures import ARENA_NAMES, DPA_NAMES, load_arena, load_dpa
 
 import oracles
 from oracles import brute_eve_region
@@ -87,9 +87,49 @@ class TestSolveParity:
         arena = random_arena(3, 2, 0.5, dpa.alphabet, seed)
         pg = product_game(Game(arena, dpa))
         res = solve_parity(pg)
-        brute_edges = {v: [(dst, pri) for _c, dst, pri in moves]
-                       for v, moves in pg.edges.items()}
-        assert res.eve_region == brute_eve_region(pg.owners, brute_edges)
+        nodes = range(len(pg.owners))
+        brute_owners = {pg.node(i): pg.owners[i] for i in nodes}
+        brute_edges = {pg.node(i): [(pg.node(pg.target[j]), pg.priority[j])
+                                    for j in range(pg.offsets[i],
+                                                   pg.offsets[i + 1])]
+                       for i in nodes}
+        assert res.eve_region == brute_eve_region(brute_owners, brute_edges)
+
+
+class TestSolveMatchesReference:
+    """Zielonka on the numbered product against the reference, which
+    splits a tuple-keyed product into Python objects: regions and Eve's
+    choices must be equal."""
+
+    @staticmethod
+    def solved(game):
+        got = solve_parity(product_game(game))
+        ref = oracles.ref_solve_parity(*oracles.ref_product_game(game))
+        assert got.eve_region == ref.eve_region
+        assert got.adam_region == ref.adam_region
+        assert got.eve_choice == ref.eve_choice
+        return got
+
+    def test_random_games(self):
+        empty = Counter()
+        for name in DPA_NAMES:
+            dpa = load_dpa(name)
+            for seed in range(130):
+                fraction = (0.0, 0.3, 0.5, 1.0)[seed % 4]
+                arena = random_arena(seed % 40 + 1, 3, fraction,
+                                     dpa.alphabet, seed)
+                got = self.solved(Game(arena, dpa))
+                empty["eve"] += not got.eve_region
+                empty["adam"] += not got.adam_region
+        assert empty["eve"] and empty["adam"]
+
+    def test_fixture_arenas(self):
+        for arena_name in ARENA_NAMES:
+            arena = load_arena(arena_name)
+            for name in DPA_NAMES:
+                dpa = load_dpa(name)
+                if dpa.alphabet == arena.alphabet:
+                    self.solved(Game(arena, dpa))
 
 
 class TestSolveGame:

@@ -365,7 +365,8 @@ class TestReduce:
 class TestPinnedOutputs:
     """Reduced strategies on ex3 random arenas, pinned by the sha256 of
     repr((states, edges, sorted sigma items)): a faster merge loop must
-    still build exactly these strategies."""
+    still build exactly these strategies.  The solved strategies of
+    large mixed arenas are pinned the same way."""
 
     @staticmethod
     def reduced(nv, seed):
@@ -393,6 +394,28 @@ class TestPinnedOutputs:
     ])
     def test_seed_7(self, nv, expected):
         assert hashlib.sha256(self.reduced(nv, 7)).hexdigest() == expected
+
+    @pytest.mark.parametrize("condition, expected", [
+        ("ex3", "a27e68e1721a10e2c40e02d9c92403be"
+                "645d79ab43c80e8d2df10ee1ad6b58d4"),
+        ("w2", "d35ba1e077d864152279e15546750784"
+               "acfe50a2f9041c1c13aa482ca96efcfd"),
+        ("res", "f57d713837121e0a64177e8f03235093"
+                "1d08afda54476ccf6c873e9732d72e6d"),
+    ])
+    def test_solve_game_on_mixed_arenas_of_3000_vertices(self, condition,
+                                                         expected):
+        """solve_game's region and strategy, seeds 0-2: a faster solver
+        must still pick exactly these moves."""
+        dpa = load_dpa(condition)
+        digest = hashlib.sha256()
+        for seed in range(3):
+            s = solve_game(Game(random_arena(3000, 3, 0.5, dpa.alphabet,
+                                             seed), dpa))
+            st = s.strategy
+            digest.update(repr((sorted(s.winning_region), st.states,
+                                st.edges, sorted(st.sigma.items()))).encode())
+        assert digest.hexdigest() == expected
 
 
 def outcome(reduce, game, s, region):
