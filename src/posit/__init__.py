@@ -17,7 +17,7 @@ from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
 from .gadgets import certify_nonpositional, gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
-                    solve_parity, validate_strategy, verify_strategy)
+                    validate_strategy, verify_strategy)
 from .positionality import (Comparison, PositionalityVerdict,
                             PriorityMonoid, PropertyReport, Witness1,
                             Witness2, Witness3, check_positional,
@@ -44,6 +44,6 @@ __all__ = [
     "normalize", "parse_arena", "parse_dpa", "parse_lasso", "prepend",
     "random_arena", "reachable_states", "reduce_to_positional",
     "residual_graph", "residual_included", "run_finite", "solve_game",
-    "solve_parity", "unroll", "validate_strategy",
+    "unroll", "validate_strategy",
     "verify_order_laws", "verify_strategy", "witness_from_dict",
 ]

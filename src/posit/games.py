@@ -11,12 +11,13 @@ Two products with the condition are built here.  The first is the
 arena with the automaton, a parity game (`product_game`).  Every
 (vertex, state) pair is one of its nodes, so it is numbered outright,
 node (v, q) as rank(v)·n + q, and stored as flat integer lists.
-Zielonka's algorithm solves it on node numbers (`_zielonka` over the
-edge-split game `_Split`), and `solve_game` builds the play of the
-winning choice over the same numbers, naming memory states only at the
-end.  The second is a strategy with the complement automaton, whose
-reachable accepting cycles are the plays the strategy loses (`_wins`,
-which `verify_strategy` and `find_positional` share).  When every node
+Zielonka's algorithm solves it on node numbers (`_zielonka` over its
+edge-split form, which `ParityGame` also stores), and `solve_game`, the
+only entry to the solver, builds the play of the winning choice over
+the same numbers, naming memory states only at the end.  The second is
+a strategy with the complement automaton, whose reachable accepting
+cycles are the plays the strategy loses (`_wins`, which
+`verify_strategy` and `find_positional` share).  When every node
 of that product has one move, as for any strategy on an Eve-only arena,
 the linear walk `cycles._walk` decides it; otherwise the threshold/SCC
 sweep of `cycles.nodes_reaching_accepting_cycle` does.  `_one_move_step`
@@ -149,6 +150,13 @@ class ParityGame:
     holds each node's owner.  The edges of node i are offsets[i] up to
     offsets[i + 1] of the per-edge lists `target` (a node number),
     `priority` and `letter`, in the arena's out-edge order.
+
+    Zielonka's algorithm runs on the game with each edge split: edge j
+    is node N + j (N = `nodes`), carries the edge's priority and moves
+    to its target; product nodes carry none.  `src` maps an edge node
+    to the product node it leaves, `pred` lists the edge nodes entering
+    each product node in ascending order, and `nodes_at` holds the edge
+    nodes of each priority, with `priorities` ascending.
     """
 
     def __init__(self, names, n, owners, offsets, target, priority, letter):
@@ -159,6 +167,17 @@ class ParityGame:
         self.target = target
         self.priority = priority
         self.letter = letter
+        nodes = self.nodes = len(owners)
+        # indexed by node number; product nodes have no source
+        self.src = [None] * nodes
+        self.src += chain.from_iterable(
+            map(repeat, range(nodes), map(sub, offsets[1:], offsets)))
+        self.pred = pred = [[] for _ in range(nodes)]
+        self.nodes_at = nodes_at = {p: set() for p in set(priority)}
+        for e, dst, pri in zip(count(nodes), target, priority):
+            pred[dst].append(e)
+            nodes_at[pri].add(e)
+        self.priorities = sorted(nodes_at)
 
     def node(self, i):
         """The (vertex, state) pair numbered i."""
@@ -190,42 +209,7 @@ def product_game(g: Game) -> ParityGame:
     return ParityGame(names, n, owners, offsets, target, priority, letter)
 
 
-class _Split:
-    """The vertex-priority game obtained by splitting each edge of `pg`.
-
-    Product node i keeps its number; edge j becomes node N + j, where N
-    is the number of product nodes.  Edge nodes carry the edge priority
-    and belong to Adam (they have a single move, so ownership is
-    irrelevant); product nodes carry a neutral priority above every edge
-    priority.  Node numbers stand in for the nodes: `src` maps an edge
-    node to the product node it leaves, `pred` lists the edge nodes
-    entering each product node in ascending order, and `nodes_at` holds
-    the nodes of each priority, with `priorities` ascending.
-    """
-
-    def __init__(self, pg: ParityGame):
-        nodes = self.nodes = len(pg.owners)
-        self.owners = pg.owners
-        self.offsets = offsets = pg.offsets
-        # indexed by node number; product nodes have no source
-        self.src = [None] * nodes
-        self.src += chain.from_iterable(
-            map(repeat, range(nodes), map(sub, offsets[1:], offsets)))
-        self.pred = pred = [[] for _ in range(nodes)]
-        top = max(pg.priority, default=0) + 1
-        self.nodes_at = nodes_at = {p: set() for p in set(pg.priority)}
-        for e, dst, pri in zip(count(nodes), pg.target, pg.priority):
-            pred[dst].append(e)
-            nodes_at[pri].add(e)
-        nodes_at[top] = set(range(nodes))
-        self.priorities = sorted(nodes_at)
-
-    def edge_nodes(self, i):
-        return range(self.nodes + self.offsets[i],
-                     self.nodes + self.offsets[i + 1])
-
-
-def _attract(sg: _Split, region: set, target, player: str):
+def _attract(pg: ParityGame, region: set, target, player: str):
     """Player's attractor to `target` (sorted) inside `region`, with the
     chosen edge node of each newly attracted Eve product node.
 
@@ -237,13 +221,13 @@ def _attract(sg: _Split, region: set, target, player: str):
     handled as soon as it is attracted, which keeps the edge nodes in
     queue order, those of `target` first, before any product node pops.
     """
-    nodes, src, owners = sg.nodes, sg.src, sg.owners
+    nodes, src, owners, offsets = pg.nodes, pg.src, pg.owners, pg.offsets
     queue = [v for v in target if v < nodes]
     acc = set(queue)
     attract, push = acc.add, queue.append
     choice = {}
     counts = {}
-    for edges in chain([target[len(queue):]], map(sg.pred.__getitem__, queue)):
+    for edges in chain([target[len(queue):]], map(pg.pred.__getitem__, queue)):
         for e in edges:
             if e in acc or e not in region:
                 continue
@@ -257,7 +241,9 @@ def _attract(sg: _Split, region: set, target, player: str):
             else:
                 left = counts.get(i)
                 if left is None:
-                    left = sum(map(region.__contains__, sg.edge_nodes(i)))
+                    left = sum(map(region.__contains__,
+                                   range(nodes + offsets[i],
+                                         nodes + offsets[i + 1])))
                 counts[i] = left = left - 1
                 if left:
                     continue
@@ -266,36 +252,34 @@ def _attract(sg: _Split, region: set, target, player: str):
     return acc, choice
 
 
-def _zielonka(sg: _Split, region: set):
+def _zielonka(pg: ParityGame, region: set):
     """(eve nodes, adam nodes, chosen edge node per winning Eve product
     node).
 
-    Recursion only descends below the least priority of `region`, so its
-    depth is at most the number of distinct priorities; the opponent's
-    dominions are peeled off in a loop.
+    Every product node has an edge, and each region here is the whole
+    game or a region less an attractor, a trap in which every node keeps
+    a successor.  So a nonempty region holds a cycle, and with it an
+    edge node: its least priority is an edge priority, and `target`
+    holds edge nodes only.  Recursion only descends below the least
+    priority of `region`, so its depth is at most the number of distinct
+    priorities; the opponent's dominions are peeled off in a loop.
     """
     won = {EVE: set(), ADAM: set()}
     choice = {}
     while region:
-        d = next(p for p in sg.priorities
-                 if not region.isdisjoint(sg.nodes_at[p]))
+        d = next(p for p in pg.priorities
+                 if not region.isdisjoint(pg.nodes_at[p]))
         player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
-        target = sorted(region.intersection(sg.nodes_at[d]))
-        area, achoice = _attract(sg, region, target, player)
-        we, wa, inner = _zielonka(sg, region - area)
+        target = sorted(region.intersection(pg.nodes_at[d]))
+        area, achoice = _attract(pg, region, target, player)
+        we, wa, inner = _zielonka(pg, region - area)
         wopp = wa if player == EVE else we
         if not wopp:
-            if player == EVE:
-                # Only Eve's target nodes in `area` have no choice yet.
-                for v in target:
-                    if v < sg.nodes and sg.owners[v] == EVE:
-                        achoice[v] = next(e for e in sg.edge_nodes(v)
-                                          if e in region)
             choice.update(inner)
             choice.update(achoice)
             won[player] |= region
             break
-        barrier, bchoice = _attract(sg, region, sorted(wopp), other)
+        barrier, bchoice = _attract(pg, region, sorted(wopp), other)
         if other == EVE:
             choice.update((v, e) for v, e in inner.items() if v in wopp)
         choice.update(bchoice)
@@ -307,42 +291,12 @@ def _zielonka(sg: _Split, region: set):
 def _solve(pg: ParityGame):
     """(Eve's winning product nodes, the edge index each Eve node of
     them plays)."""
-    sg = _Split(pg)
-    total = sg.nodes + len(pg.target)
-    eve, adam, choice = _zielonka(sg, set(range(total)))
+    total = pg.nodes + len(pg.target)
+    eve, adam, choice = _zielonka(pg, set(range(total)))
     if len(eve) + len(adam) != total:
         raise AssertionError("winning regions do not partition the game")
-    return (eve.intersection(range(sg.nodes)),
-            {i: e - sg.nodes for i, e in choice.items()})
-
-
-class SolveResult:
-    """Winning regions of a parity game plus positional move choices.
-
-    Nodes are (vertex, state) pairs; eve_choice maps an Eve node inside
-    her region to the index of the edge to play.
-    """
-
-    def __init__(self, eve_region, adam_region, eve_choice):
-        self.eve_region = eve_region
-        self.adam_region = adam_region
-        self.eve_choice = eve_choice
-
-
-def solve_parity(pg: ParityGame) -> SolveResult:
-    eve, choice = _solve(pg)
-    eve_region = set()
-    adam_region = set()
-    eve_choice = {}
-    for i in range(len(pg.owners)):
-        v = pg.node(i)
-        if i in eve:
-            eve_region.add(v)
-            if pg.owners[i] == EVE:
-                eve_choice[v] = choice[i] - pg.offsets[i]
-        else:
-            adam_region.add(v)
-    return SolveResult(eve_region, adam_region, eve_choice)
+    return (eve.intersection(range(pg.nodes)),
+            {i: e - pg.nodes for i, e in choice.items()})
 
 
 class Strategy:

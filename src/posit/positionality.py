@@ -18,7 +18,6 @@ check that reads it.
 
 import os
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
@@ -200,6 +199,9 @@ def witness_from_dict(d: dict, alphabet: Alphabet):
             raise InvalidWitness("witness field %r must be a string" % key)
         return parse_lasso(val, alphabet)
 
+    # True == 1 and 3.0 == 3, but neither names a property
+    if not isinstance(prop, int) or isinstance(prop, bool):
+        raise InvalidWitness("unknown property %r" % (prop,))
     if prop == 1:
         return Witness1(word("u"), word("up"), lasso("w"), lasso("wp"))
     if prop == 2:
@@ -222,28 +224,16 @@ class PositionalityVerdict:
     witness: object = None
 
 
-def _return_word(a: Dpa):
+def _return_word(a: Dpa, access: dict):
     """Shortest nonempty word leading the initial state back to itself,
     first in alphabet order among those; None if there is none.
 
-    One breadth-first search that expands the initial state first
-    without marking it seen, so reaching it again closes the loop.
+    `access` holds the shortest access words of the reachable states in
+    breadth-first order, letter by letter, so the answer is the first
+    access[p] + c, in that order, that leads back to the initial state.
     """
-    seen = {}
-    queue = deque()
-    p, word = a.initial, ""
-    while True:
-        for c in a.alphabet:
-            t, _ = a.delta[p][c]
-            if t not in seen:
-                seen[t] = word + c
-                queue.append(t)
-        if not queue:
-            return None
-        p = queue.popleft()
-        word = seen[p]
-        if p == a.initial:
-            return word
+    return next((u + c for p, u in access.items() for c in a.alphabet
+                 if a.delta[p][c][0] == a.initial), None)
 
 
 def _recheck(a: Dpa, witness, accepted, rejected) -> None:
@@ -291,7 +281,7 @@ def _property1(facts: _Facts) -> PropertyReport:
         return PropertyReport(True)
     # Prefer a pair whose access words are both nonempty so the witness
     # can be realised as a game gadget; fall back to the first pair.
-    ret = _return_word(a)
+    ret = _return_word(a, access)
 
     def u_of(state):
         u = access[state]

@@ -8,7 +8,7 @@ written out again by hand so a typo in either copy shows up.
 """
 
 import random
-from collections import deque
+from collections import deque, namedtuple
 from itertools import product
 
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
@@ -18,7 +18,6 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    member_from, prepend, reachable_states, validate_strategy,
                    verify_strategy)
 from posit.cycles import accepting_lasso_from
-from posit.games import SolveResult
 
 EVE = "E"
 ADAM = "A"
@@ -561,6 +560,11 @@ def _ref_zielonka(exp, region: set):
         won[other] |= barrier
         region = region - barrier
     return won[EVE], won[ADAM], choice
+
+
+# Winning regions and Eve's edge index per Eve node of her region, each
+# keyed by (vertex, state).
+SolveResult = namedtuple("SolveResult", "eve_region adam_region eve_choice")
 
 
 def ref_solve_parity(owners: dict, edges: dict) -> SolveResult:

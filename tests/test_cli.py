@@ -145,6 +145,13 @@ class TestGadget:
         assert rc == 2 and err.startswith("error:")
         rc, _, err = run(capsys, "gadget", path, "{oops")
         assert rc == 2 and err.startswith("error:")
+        # read as properties 1 and 3, since True == 1 and 3.0 == 3
+        for payload in ('{"property": true, "u": "", "up": "", '
+                        '"w": ":a", "wp": ":b"}',
+                        '{"property": 3.0, "u": "", "v": "ab", "vp": "ac"}'):
+            rc, out, err = run(capsys, "gadget", path, payload)
+            assert rc == 2 and not out
+            assert err.startswith("error:") and "unknown property" in err
 
 
 class TestErrors:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import chain
 import random
 import sys
 
@@ -8,7 +9,7 @@ from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
                    ParseError, PreconditionViolated, SearchSpaceTooLarge,
                    SinkVertex, Strategy, UnknownLetter, find_positional,
                    format_arena, parse_arena, random_arena, solve_game,
-                   solve_parity, validate_strategy, verify_strategy)
+                   validate_strategy, verify_strategy)
 from posit import games
 from posit.cycles import nodes_reaching_accepting_cycle, reachable_graph
 from posit.games import product_game
@@ -73,10 +74,43 @@ class TestParseArena:
             Game(load_arena("twoloops"), load_dpa("rabin"))
 
 
+def solve_keyed(pg):
+    """`games._solve` on `pg`, keyed by (vertex, state) like the
+    reference: Eve's region, Adam's region, and the edge index of each
+    Eve node in Eve's region."""
+    eve, choice = games._solve(pg)
+    return oracles.SolveResult(
+        {pg.node(i) for i in eve},
+        {pg.node(i) for i in range(pg.nodes) if i not in eve},
+        {pg.node(i): choice[i] - pg.offsets[i] for i in eve
+         if pg.owners[i] == EVE})
+
+
+def random_games():
+    """The 1040 random games on which the solver meets the reference."""
+    for name in DPA_NAMES:
+        dpa = load_dpa(name)
+        for seed in range(130):
+            fraction = (0.0, 0.3, 0.5, 1.0)[seed % 4]
+            arena = random_arena(seed % 40 + 1, 3, fraction,
+                                 dpa.alphabet, seed)
+            yield Game(arena, dpa)
+
+
+def fixture_games():
+    """Every fixture arena with each fixture condition on its alphabet."""
+    for arena_name in ARENA_NAMES:
+        arena = load_arena(arena_name)
+        for name in DPA_NAMES:
+            dpa = load_dpa(name)
+            if dpa.alphabet == arena.alphabet:
+                yield Game(arena, dpa)
+
+
 class TestSolveParity:
     def test_tiny_forced_win(self):
         game = Game(load_arena("twoloops"), load_dpa("buchi_a"))
-        res = solve_parity(product_game(game))
+        res = solve_keyed(product_game(game))
         assert res.eve_region == {("center", 0)}
         assert res.adam_region == set()
 
@@ -86,7 +120,7 @@ class TestSolveParity:
         dpa = load_dpa(condition)
         arena = random_arena(3, 2, 0.5, dpa.alphabet, seed)
         pg = product_game(Game(arena, dpa))
-        res = solve_parity(pg)
+        res = solve_keyed(pg)
         nodes = range(len(pg.owners))
         brute_owners = {pg.node(i): pg.owners[i] for i in nodes}
         brute_edges = {pg.node(i): [(pg.node(pg.target[j]), pg.priority[j])
@@ -103,7 +137,7 @@ class TestSolveMatchesReference:
 
     @staticmethod
     def solved(game):
-        got = solve_parity(product_game(game))
+        got = solve_keyed(product_game(game))
         ref = oracles.ref_solve_parity(*oracles.ref_product_game(game))
         assert got.eve_region == ref.eve_region
         assert got.adam_region == ref.adam_region
@@ -112,24 +146,32 @@ class TestSolveMatchesReference:
 
     def test_random_games(self):
         empty = Counter()
-        for name in DPA_NAMES:
-            dpa = load_dpa(name)
-            for seed in range(130):
-                fraction = (0.0, 0.3, 0.5, 1.0)[seed % 4]
-                arena = random_arena(seed % 40 + 1, 3, fraction,
-                                     dpa.alphabet, seed)
-                got = self.solved(Game(arena, dpa))
-                empty["eve"] += not got.eve_region
-                empty["adam"] += not got.adam_region
+        for game in random_games():
+            got = self.solved(game)
+            empty["eve"] += not got.eve_region
+            empty["adam"] += not got.adam_region
         assert empty["eve"] and empty["adam"]
 
     def test_fixture_arenas(self):
-        for arena_name in ARENA_NAMES:
-            arena = load_arena(arena_name)
-            for name in DPA_NAMES:
-                dpa = load_dpa(name)
-                if dpa.alphabet == arena.alphabet:
-                    self.solved(Game(arena, dpa))
+        for game in fixture_games():
+            self.solved(game)
+
+    def test_every_region_holds_an_edge_node(self, monkeypatch):
+        """Zielonka's least priority is always an edge priority: every
+        nonempty region it is called on holds an edge node, numbered at
+        least the number of product nodes."""
+        zielonka = games._zielonka
+        calls = Counter()
+
+        def recording(pg, region):
+            calls["nonempty" if region else "empty"] += 1
+            assert not region or max(region) >= pg.nodes
+            return zielonka(pg, region)
+
+        monkeypatch.setattr(games, "_zielonka", recording)
+        for game in chain(random_games(), fixture_games()):
+            games._solve(product_game(game))
+        assert calls["nonempty"] > 1040 and calls["empty"]
 
 
 class TestSolveGame:
