@@ -5,9 +5,8 @@ protagonist, certify refusals with counterexample games, and reduce
 finite-memory winning strategies to positional ones when it does.
 """
 
-from .automata import (Dpa, complement_shift, format_dpa, member,
-                       member_from, parse_dpa, reachable_states,
-                       residual_graph, residual_included, run_finite)
+from .automata import (Dpa, format_dpa, member, parse_dpa,
+                       reachable_states, residual_graph, residual_included)
 from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
                      InvalidSetting, InvalidStrategy, InvalidWitness,
                      MalformedLasso, MergeBrokeWinning, MonoidTooLarge,
@@ -39,11 +38,11 @@ __all__ = [
     "WitnessRecheckFailed",
     "certify_nonpositional", "check_positional", "check_property1",
     "check_property2", "check_property3", "choose_merge", "compare_lassos",
-    "complement_shift", "find_positional", "format_arena", "format_dpa",
-    "gadget_from_witness", "lasso_equal", "member", "member_from",
+    "find_positional", "format_arena", "format_dpa",
+    "gadget_from_witness", "lasso_equal", "member",
     "normalize", "parse_arena", "parse_dpa", "parse_lasso", "prepend",
     "random_arena", "reachable_states", "reduce_to_positional",
-    "residual_graph", "residual_included", "run_finite", "solve_game",
+    "residual_graph", "residual_included", "solve_game",
     "unroll", "validate_strategy",
     "verify_order_laws", "verify_strategy", "witness_from_dict",
 ]

@@ -10,8 +10,11 @@ is therefore a parity shift.  The text format is line based:
     initial 0
     trans 0 a 1 3       # source letter target priority
 
-Comments start with '#'; priorities are bounded by MAX_PRIORITY in
-files (shifted internal copies may exceed it).
+Comments start with '#'; priorities are bounded by MAX_PRIORITY in files.
+
+Membership of a lasso word is decided by `cycles._walk`, the evaluator
+of strategy plays and monoid omega-powers too, on the (letter position,
+state) nodes of the run, with complement priorities (shifted by one).
 
 Residual inclusion is read off one graph, the product of an automaton
 with its complement (`residual_graph`): L(p) is not included in L(q)
@@ -22,7 +25,7 @@ inclusion query explores what its pair reaches and no more.
 
 from collections import deque
 
-from .cycles import accepting_lasso_from, reachable_graph
+from .cycles import _walk, accepting_lasso_from, reachable_graph
 from .errors import ParseError, PreconditionViolated, UnknownLetter
 from .words import Alphabet, LassoWord
 
@@ -71,13 +74,6 @@ class Dpa:
         if name not in self._ids:
             raise ParseError("unknown state %r" % name)
         return self._ids[name]
-
-    def step(self, state: int, letter: str):
-        """(target, priority) for one transition."""
-        row = self.delta[state]
-        if letter not in row:
-            raise UnknownLetter("letter %r not in alphabet" % letter)
-        return row[letter]
 
     def __repr__(self):
         return "Dpa(%d states over %r)" % (self.n, "".join(self.alphabet))
@@ -208,42 +204,34 @@ def format_dpa(a: Dpa) -> str:
     return "\n".join(out) + "\n"
 
 
-def run_finite(a: Dpa, frm: int, word: str):
-    """(final state, minimum priority seen or None for the empty word)."""
-    best = None
-    state = frm
+def _lasso_step(a: Dpa, w: LassoWord):
+    """`_walk`'s step on the (letter position, state) nodes of the lasso
+    w, position i reading letter i of its prefix then period, with the
+    complement priority.  The first letter outside the alphabet, prefix
+    first, raises UnknownLetter."""
+    word, loop = w.prefix + w.period, len(w.prefix)
     for c in word:
-        state, pri = a.step(state, c)
-        if best is None or pri < best:
-            best = pri
-    return state, best
+        if c not in a.alphabet:
+            raise UnknownLetter("letter %r not in alphabet" % c)
+    delta, last = a.delta, len(word) - 1
 
-
-def member_from(a: Dpa, frm: int, w: LassoWord) -> bool:
-    """Does the run on w from `frm` satisfy min-even parity?
-
-    Iterates whole periods until the entry state repeats; the verdict is
-    the parity of the smallest block minimum on the repeating part.
-    """
-    state, _ = run_finite(a, frm, w.prefix)
-    seen = {}
-    blocks = []
-    while state not in seen:
-        seen[state] = len(blocks)
-        state, block_min = run_finite(a, state, w.period)
-        blocks.append(block_min)
-    return min(blocks[seen[state]:]) % 2 == 0
+    def step(node):
+        i, q = node
+        t, pri = delta[q][word[i]]
+        return (i + 1 if i < last else loop, t), pri + 1
+    return step
 
 
 def member(a: Dpa, w: LassoWord) -> bool:
-    return member_from(a, a.initial, w)
+    """Is w accepted from the initial state?  One walk along its run."""
+    return _walk((0, a.initial), _lasso_step(a, w), {})
 
 
-def complement_shift(a: Dpa) -> Dpa:
-    """Same structure with all priorities shifted by one, flipping parity."""
-    delta = [{c: (tgt, pri + 1) for c, (tgt, pri) in row.items()}
-             for row in a.delta]
-    return Dpa(a.alphabet, a.names, a.initial, delta)
+def _lasso_mask(a: Dpa, w: LassoWord) -> int:
+    """Bit r set iff `w` is accepted from automaton state r: one walk
+    per state, with one memo for all of them."""
+    step, memo = _lasso_step(a, w), {}
+    return sum(1 << r for r in range(a.n) if _walk((0, r), step, memo))
 
 
 def residual_graph(a: Dpa, roots):
@@ -262,7 +250,7 @@ def residual_graph(a: Dpa, roots):
         for c in a.alphabet:
             t1, pri1 = row1[c]
             t2, pri2 = row2[c]
-            # the complement_shift priority on the second coordinate
+            # the complement's priority, shifted by one, second
             edges.append((c, (t1, t2), (pri1, pri2 + 1)))
         return edges
 

@@ -16,7 +16,7 @@ through such edges has exactly the threshold tuple as its coordinate
 minima, hence is accepting in every coordinate.  The linear walk
 `_walk`, for graphs in which every node has one move, follows the unique
 lasso from a node: it decides strategy plays, the priority monoid's
-omega-powers and lasso words (`positionality._lasso_mask`).
+omega-powers and lasso words (`automata.member` and `_lasso_mask`).
 """
 
 from collections import deque

@@ -416,7 +416,7 @@ def _one_move_step(a: Dpa, move):
     def step(node):
         letter, dst = move(node[0])
         q2, pri = delta[node[1]][letter]
-        return (dst, q2), pri + 1  # the complement_shift priority
+        return (dst, q2), pri + 1  # the complement's priority
     return step
 
 
@@ -435,7 +435,7 @@ def _wins(g: Game, out_edges, starts) -> bool:
         out = []
         for letter, dst in out_edges(node[0]):
             q2, pri = row[letter]
-            # the complement_shift priority
+            # the complement's priority, shifted by one
             out.append((letter, (dst, q2), (pri + 1,)))
         return out
 
@@ -450,22 +450,24 @@ def _wins(g: Game, out_edges, starts) -> bool:
     return all(_walk(root, step.__getitem__, memo) for root in roots)
 
 
-def _check_starts(starts, known, kind: str) -> None:
-    """Reject a bare string (it would be read letter by letter) and
-    starts outside `known`."""
+def _check_starts(starts, known, kind: str) -> list:
+    """`starts` read once into a list, so an iterator is not used up.
+    Reject a bare string (read letter by letter) and unknown starts."""
     if isinstance(starts, str):
         raise PreconditionViolated(
             "starts must be a list, not the string %r: pass [%r]"
             % (starts, starts))
+    starts = list(starts)
     for st in starts:
         if st not in known:
             raise PreconditionViolated("unknown %s %r" % (kind, st))
+    return starts
 
 
 def verify_strategy(g: Game, s: Strategy, starts) -> bool:
     """Does the strategy win from every given start state?"""
     validate_strategy(g, s)
-    _check_starts(starts, s.sigma, "start state")
+    starts = _check_starts(starts, s.sigma, "start state")
     return _wins(g, s.out_edges, starts)
 
 
@@ -478,7 +480,7 @@ def find_positional(g: Game, starts, cap: int = 10 ** 6):
     choice becomes a `Strategy`, validated once.
     """
     arena = g.arena
-    _check_starts(starts, arena.owners, "vertex")
+    starts = _check_starts(starts, arena.owners, "vertex")
     eve_vertices = [v for v in arena.owners if arena.owners[v] == EVE]
     degrees = [len(arena.out_edges(v)) for v in eve_vertices]
     total = prod(degrees)

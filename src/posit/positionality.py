@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
 
-from .automata import Dpa, member, reachable_states, residual_graph
+from .automata import (Dpa, _lasso_mask, member, reachable_states,
+                       residual_graph)
 from .cycles import (_walk, accepting_lasso_from,
                      nodes_reaching_accepting_cycle)
 from .errors import (InvalidSetting, InvalidWitness, MonoidTooLarge,
-                     PreconditionViolated, UnknownLetter,
-                     WitnessRecheckFailed)
+                     PreconditionViolated, WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 DEFAULT_MONOID_CAP = 100_000
@@ -53,9 +53,8 @@ class PriorityMonoid:
     is set when the omega-power of element i is accepted from state p.
     """
 
-    def __init__(self, a: Dpa, cap: int | None = None):
-        if cap is None:
-            cap = monoid_cap()
+    def __init__(self, a: Dpa):
+        cap = monoid_cap()
         self.letters = a.alphabet.letters
         n = a.n
         # Each element is a tuple of n codes: code t * base + g stands for
@@ -120,24 +119,6 @@ def _omega_mask(key: tuple, base: int) -> int:
         if _walk(p, step, memo):
             mask |= 1 << p
     return mask
-
-
-def _lasso_mask(a: Dpa, w: LassoWord) -> int:
-    """Bit r set iff `w` is accepted from automaton state r.  One walk
-    over (letter position, state) nodes of w's prefix and period, with
-    one memo for all start states."""
-    word, loop = w.prefix + w.period, len(w.prefix)
-    for c in word:
-        if c not in a.alphabet:
-            raise UnknownLetter("letter %r not in alphabet" % c)
-    delta, last = a.delta, len(word) - 1
-
-    def step(node):
-        i, q = node
-        t, pri = delta[q][word[i]]
-        return (i + 1 if i < last else loop, t), pri + 1
-    memo = {}
-    return sum(1 << r for r in range(a.n) if _walk((0, r), step, memo))
 
 
 @dataclass(frozen=True)
@@ -255,9 +236,8 @@ class _Facts:
     pairs (p, q) such that L(p) is not included in L(q), and the
     priority monoid."""
 
-    def __init__(self, a: Dpa, cap: int | None = None):
+    def __init__(self, a: Dpa):
         self.a = a
-        self.cap = cap
         self.access = reachable_states(a)
         self.states = sorted(self.access)
 
@@ -269,7 +249,7 @@ class _Facts:
 
     @cached_property
     def monoid(self) -> PriorityMonoid:
-        return PriorityMonoid(self.a, self.cap)
+        return PriorityMonoid(self.a)
 
 
 def _property1(facts: _Facts) -> PropertyReport:
@@ -392,14 +372,14 @@ def check_property3(a: Dpa) -> PropertyReport:
     return _property3(_Facts(a))
 
 
-def check_positional(a: Dpa, cap: int | None = None) -> PositionalityVerdict:
+def check_positional(a: Dpa) -> PositionalityVerdict:
     """First failing property wins; all passing means positional.
 
     The three checks share one `_Facts`: properties 1 and 2 read the
     same residual sweep, properties 2 and 3 the same priority monoid,
     which is generated only once property 1 holds.
     """
-    facts = _Facts(a, cap)
+    facts = _Facts(a)
     for number, check in ((1, _property1), (2, _property2),
                           (3, _property3)):
         report = check(facts)
@@ -474,26 +454,24 @@ def verify_order_laws(a: Dpa, samples: int = 500,
         return "".join(rng.choice(letters)
                        for _ in range(rng.randint(lo, hi)))
 
+    access = reachable_states(a)
     violations = []
     for i in range(samples):
         v = rand_word(1, 3)
         vp = rand_word(1, 3)
         w = LassoWord(rand_word(0, 2), rand_word(1, 3))
+        # v w, v^omega, v'^omega, (v v')^omega and w, each walked once
         pool = [prepend(v, w), LassoWord("", v), LassoWord("", vp),
                 LassoWord("", v + vp), w]
-        for x, y in combinations(pool, 2):
-            if compare_lassos(a, x, y).incomparable:
-                violations.append(
-                    "draw %d: %s and %s incomparable" % (i, x, y))
-        if not (compare_lassos(a, prepend(v, w), LassoWord("", v)).left_leq
-                or compare_lassos(a, prepend(v, w), w).left_leq):
-            violations.append(
-                "draw %d: %s above both %s and %s"
-                % (i, prepend(v, w), LassoWord("", v), w))
-        joint = LassoWord("", v + vp)
-        if not (compare_lassos(a, joint, LassoWord("", v)).left_leq
-                or compare_lassos(a, joint, LassoWord("", vp)).left_leq):
-            violations.append(
-                "draw %d: %s above both %s and %s"
-                % (i, joint, LassoWord("", v), LassoWord("", vp)))
+        masks = [_lasso_mask(a, x) for x in pool]
+        for x, y in combinations(range(len(pool)), 2):
+            if _compare(access, masks[x], masks[y]).incomparable:
+                violations.append("draw %d: %s and %s incomparable"
+                                  % (i, pool[x], pool[y]))
+        # v w below v^omega or w, (v v')^omega below v^omega or v'^omega
+        for x, y, z in ((0, 1, 4), (3, 1, 2)):
+            if not (_compare(access, masks[x], masks[y]).left_leq
+                    or _compare(access, masks[x], masks[z]).left_leq):
+                violations.append("draw %d: %s above both %s and %s"
+                                  % (i, pool[x], pool[y], pool[z]))
     return OrderLawReport(samples, tuple(violations))

@@ -12,7 +12,7 @@ accept them, so `choose_merge` reads each future as a bit mask over
 those states and hands both to `positionality._compare`, the one
 implementation of the preorder: a play's mask from `cycles._walk`
 verdicts in the merge loop's memo, a loop v^omega's from
-`positionality._lasso_mask`.  One trace from each state finds v.
+`automata._lasso_mask`.  One trace from each state finds v.
 
 `reduce_to_positional` validates the strategy and walks every region
 state's play once, then merges in place on a private working map (one
@@ -29,13 +29,13 @@ order, so it equals a fresh merge and `verify_strategy` after every step.
 import heapq
 from dataclasses import dataclass
 
-from .automata import Dpa, reachable_states
+from .automata import Dpa, _lasso_mask, reachable_states
 from .cycles import _walk
 from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
                      MergeBrokeWinning, NotEveOnly, PreconditionViolated,
                      UnknownLetter)
 from .games import Game, Strategy, _one_move_step, validate_strategy
-from .positionality import _compare, _lasso_mask
+from .positionality import _compare
 from .words import LassoWord
 
 

@@ -31,10 +31,10 @@ class Alphabet:
                 raise ParseError("duplicate letter %r" % (c,))
             seen.add(c)
         self.letters = letters
-        self._index = {c: i for i, c in enumerate(letters)}
+        self._known = frozenset(letters)
 
     def __contains__(self, c):
-        return c in self._index
+        return c in self._known
 
     def __iter__(self):
         return iter(self.letters)
@@ -48,19 +48,12 @@ class Alphabet:
     def __repr__(self):
         return "Alphabet(%r)" % ("".join(self.letters),)
 
-    def index(self, c):
-        return self._index[c]
-
     def require(self, word):
         """Check every character of `word`, raising UnknownLetter otherwise."""
         for c in word:
-            if c not in self._index:
+            if c not in self._known:
                 raise UnknownLetter("letter %r not in alphabet %s" % (c, "".join(self.letters)))
         return word
-
-    def key(self, word):
-        """Sort key ordering words by length, then letter by declaration order."""
-        return (len(word), tuple(self._index[c] for c in word))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive.  Semantic predicates read the
 lasso structure directly; the simulator decides membership by plain
-unrolling instead of cycle detection; the brute property checks
+unrolling instead of cycle detection, and `member_from` by whole
+periods from any state, where the package walks; the brute property checks
 enumerate their bounded domains literally.  Transition tables are
 written out again by hand so a typo in either copy shows up.
 """
@@ -14,9 +15,8 @@ from itertools import product
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
                    NotEveOnly, PreconditionViolated, PropertyReport, Strategy,
-                   Witness1, Witness2, Witness3, complement_shift,
-                   member_from, prepend, reachable_states, validate_strategy,
-                   verify_strategy)
+                   UnknownLetter, Witness1, Witness2, Witness3, prepend,
+                   reachable_states, validate_strategy, verify_strategy)
 from posit.cycles import accepting_lasso_from
 
 EVE = "E"
@@ -120,6 +120,42 @@ def sim_member(name: str, w: LassoWord) -> bool:
             if best is None or pri < best:
                 best = pri
     return best % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# membership by whole periods, from any state of a Dpa
+
+def member_from(a: Dpa, frm: int, w: LassoWord) -> bool:
+    """Does the run on w from `frm` satisfy min-even parity?
+
+    Runs whole periods until the entry state repeats; the verdict is the
+    parity of the least block minimum on the repeating part.  The first
+    letter outside the alphabet, prefix first, raises UnknownLetter.
+    """
+    for c in w.prefix + w.period:
+        if c not in a.alphabet:
+            raise UnknownLetter("letter %r not in alphabet" % c)
+    state = frm
+    for c in w.prefix:
+        state = a.delta[state][c][0]
+    seen = {}
+    blocks = []
+    while state not in seen:
+        seen[state] = len(blocks)
+        block_min = None
+        for c in w.period:
+            state, pri = a.delta[state][c]
+            if block_min is None or pri < block_min:
+                block_min = pri
+        blocks.append(block_min)
+    return min(blocks[seen[state]:]) % 2 == 0
+
+
+def complement_shift(a: Dpa) -> Dpa:
+    """Same structure with all priorities shifted by one, flipping parity."""
+    delta = [{c: (tgt, pri + 1) for c, (tgt, pri) in row.items()}
+             for row in a.delta]
+    return Dpa(a.alphabet, a.names, a.initial, delta)
 
 
 # ---------------------------------------------------------------------------

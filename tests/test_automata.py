@@ -4,15 +4,15 @@ import pytest
 
 import posit
 from posit import (LassoWord, ParseError, PreconditionViolated,
-                   UnknownLetter, complement_shift, format_dpa, member,
-                   member_from, parse_dpa, prepend, reachable_states,
-                   residual_graph, residual_included, run_finite)
+                   UnknownLetter, format_dpa, member, parse_dpa, prepend,
+                   reachable_states, residual_graph, residual_included)
+from posit.automata import _lasso_mask
 from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
                           reachable_graph)
 from posit.fixtures import DPA_NAMES, load_dpa
 
-from oracles import (SEMANTICS, lassos_up_to, pair_graph, random_lassos,
-                     sim_member)
+from oracles import (SEMANTICS, complement_shift, lassos_up_to, member_from,
+                     pair_graph, random_lassos, sim_member)
 
 GOOD = """\
 dpa v1
@@ -32,7 +32,7 @@ class TestParse:
         assert a.n == 2
         assert a.names == ("0", "1")
         assert a.initial == 0
-        assert a.step(0, "a") == (1, 3)
+        assert a.delta[0]["a"] == (1, 3)
 
     def test_named_states(self):
         a = load_dpa("res")
@@ -100,16 +100,10 @@ class TestParse:
 
 
 class TestRuns:
-    def test_run_finite(self):
-        a = parse_dpa(GOOD)
-        assert run_finite(a, 0, "") == (0, None)
-        assert run_finite(a, 0, "ab") == (0, 0)
-        assert run_finite(a, 0, "ba") == (1, 1)
-
     def test_unknown_letter(self):
         a = parse_dpa(GOOD)
-        with pytest.raises(UnknownLetter):
-            run_finite(a, 0, "ax")
+        with pytest.raises(UnknownLetter, match="^letter 'x' not in alphabet$"):
+            member(a, LassoWord("ax", "y"))
 
 
 class TestMember:
@@ -119,6 +113,8 @@ class TestMember:
         sem = SEMANTICS[name]
         for w in lassos_up_to(a.alphabet, 2, 3):
             assert member(a, w) == sem(w), "%s on %s" % (name, w)
+            # the reference the brute property checks run on
+            assert member_from(a, a.initial, w) == sem(w), w
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_member_matches_semantics_random(self, name):
@@ -135,9 +131,12 @@ class TestMember:
 
     def test_member_from_other_states(self):
         a = load_dpa("res")
-        assert member_from(a, a.state_id("A"), LassoWord("", "b"))
-        assert not member_from(a, a.state_id("B"), LassoWord("", "b"))
-        assert member_from(a, a.state_id("B"), LassoWord("ab", "c"))
+        A, B = a.state_id("A"), a.state_id("B")
+        for w, accepting in ((LassoWord("", "b"), {A}),
+                             (LassoWord("ab", "c"), {B})):
+            assert {r for r in range(a.n) if member_from(a, r, w)} \
+                == accepting
+            assert _lasso_mask(a, w) == sum(1 << r for r in accepting)
 
     def test_membership_invariant_under_normal_forms(self):
         a = load_dpa("infab")
@@ -235,7 +234,7 @@ class TestResiduals:
     def test_prepend_consistency(self):
         a = load_dpa("onea")
         w = LassoWord("", "b")
-        state, _ = run_finite(a, a.initial, "a")
+        state = a.delta[a.initial]["a"][0]
         assert member(a, prepend("a", w)) == member_from(a, state, w)
 
 

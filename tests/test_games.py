@@ -7,9 +7,10 @@ import pytest
 
 from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
                    ParseError, PreconditionViolated, SearchSpaceTooLarge,
-                   SinkVertex, Strategy, UnknownLetter, find_positional,
-                   format_arena, parse_arena, random_arena, solve_game,
-                   validate_strategy, verify_strategy)
+                   SinkVertex, Strategy, UnknownLetter, check_positional,
+                   find_positional, format_arena, gadget_from_witness,
+                   parse_arena, random_arena, solve_game, validate_strategy,
+                   verify_strategy)
 from posit import games
 from posit.cycles import nodes_reaching_accepting_cycle, reachable_graph
 from posit.games import product_game
@@ -456,6 +457,34 @@ class TestFindPositional:
             solution = solve_game(game)
             for v in sorted(solution.winning_region):
                 assert find_positional(game, [v]) is not None
+
+
+class TestOneShotStarts:
+    """Starts given as an iterator are read once, then kept: the checks
+    of the starts must not leave the win test with none."""
+
+    def gadget(self):
+        a = load_dpa("w2")
+        arena, starts = gadget_from_witness(check_positional(a).witness,
+                                            a.alphabet)
+        return Game(arena, a), starts
+
+    def test_verify_strategy(self):
+        game, starts = self.gadget()
+        arena = game.arena
+        # Eve's first move everywhere: positional, so it loses the gadget
+        edges = [(v, letter, dst) for v in arena.owners
+                 for letter, dst in (arena.out_edges(v)[:1]
+                                     if arena.owners[v] == EVE
+                                     else arena.out_edges(v))]
+        s = Strategy(tuple(arena.owners), edges, {v: v for v in arena.owners})
+        assert not verify_strategy(game, s, starts)
+        assert not verify_strategy(game, s, iter(starts))
+
+    def test_find_positional(self):
+        game, starts = self.gadget()
+        assert find_positional(game, starts) is None
+        assert find_positional(game, iter(starts)) is None
 
 
 class TestRandomArena:

@@ -3,25 +3,28 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
 import posit
 from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
-                   PreconditionViolated, PriorityMonoid, UnknownLetter,
-                   Witness1, Witness2, Witness3, WitnessRecheckFailed,
-                   check_positional, check_property1, check_property2,
-                   check_property3, compare_lassos, member, member_from,
-                   reachable_states, verify_order_laws, witness_from_dict)
+                   PositionalityVerdict, PreconditionViolated,
+                   PriorityMonoid, UnknownLetter, Witness1, Witness2,
+                   Witness3, WitnessRecheckFailed, check_positional,
+                   check_property1, check_property2, check_property3,
+                   compare_lassos, member, prepend, reachable_states,
+                   verify_order_laws, witness_from_dict)
 from posit import positionality
-from posit.positionality import _lasso_mask, _return_word
+from posit.automata import _lasso_mask
+from posit.positionality import _return_word
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
-                     certify_witness, lassos_up_to, perm_parity, random_dpa,
-                     random_lassos, ref_compare_lassos, ref_compose,
+                     certify_witness, lassos_up_to, member_from,
+                     perm_parity, random_dpa, random_lassos,
+                     ref_compare_lassos, ref_compose,
                      ref_monoid, ref_omega_accept, ref_property1,
                      ref_property2, ref_property3, ref_return_word,
                      word_behavior, words_up_to)
@@ -79,10 +82,6 @@ class TestMonoid:
                 witness = monoid.witness(i)
                 for word in words_up_to(a.alphabet, len(witness) - 1, 1):
                     assert word_behavior(a, word) != x
-
-    def test_cap(self):
-        with pytest.raises(MonoidTooLarge):
-            PriorityMonoid(load_dpa("w2"), cap=3)
 
     def test_cap_from_environment(self, monkeypatch):
         monkeypatch.setenv("POSIT_MONOID_CAP", "3")
@@ -223,9 +222,10 @@ class TestIndexedMonoid:
     def test_perm_parity_6_is_positional(self):
         assert check_positional(perm_parity(6)).positional
 
-    def test_cap_still_applies(self):
+    def test_cap_still_applies(self, monkeypatch):
+        monkeypatch.setenv("POSIT_MONOID_CAP", "3")
         with pytest.raises(MonoidTooLarge):
-            check_positional(load_dpa("w2"), cap=3)
+            check_positional(load_dpa("w2"))
 
 
 class TestReturnWord:
@@ -293,8 +293,8 @@ class TestCompare:
     ])
     def test_unknown_letter_raises_unknown_letter(self, w, wp):
         # the walk reads transition rows directly, where a stray letter
-        # would be a KeyError; the first one read is named, as Dpa.step
-        # names it
+        # would be a KeyError; the first one, prefix first, is named, as
+        # the reference's `member_from` names it
         a = load_dpa("res")
         for compare in (compare_lassos, ref_compare_lassos):
             with pytest.raises(UnknownLetter,
@@ -333,6 +333,7 @@ class TestCompareMatchesReference:
                 assert mask >> a.n == 0
                 assert [bool(mask >> r & 1) for r in range(a.n)] == \
                     [member_from(a, r, w) for r in range(a.n)], (a.delta, w)
+                assert member(a, w) == member_from(a, a.initial, w)
         assert unreachable >= 100, unreachable
 
 
@@ -346,6 +347,46 @@ class TestOrderLaws:
     def test_requires_positional(self):
         with pytest.raises(PreconditionViolated):
             verify_order_laws(load_dpa("onea"), samples=5, seed=0)
+
+    @pytest.mark.parametrize("name", ("w2", "onea", "res", "infab"))
+    def test_violations_match_pairwise_comparisons(self, name, monkeypatch):
+        # forced past the precondition, the laws fail on non-positional
+        # conditions; the report must list what compare_lassos finds
+        monkeypatch.setattr(positionality, "check_positional",
+                            lambda a: PositionalityVerdict(True))
+        a = load_dpa(name)
+        report = verify_order_laws(a, samples=300, seed=4)
+        expected = order_law_violations(a, samples=300, seed=4)
+        assert expected
+        assert report.violations == expected
+
+
+def order_law_violations(a, samples, seed):
+    """`verify_order_laws`' violations, with one `compare_lassos` call
+    per comparison, on the same draws."""
+    rng = random.Random(seed)
+    letters = list(a.alphabet)
+
+    def rand_word(lo, hi):
+        return "".join(rng.choice(letters)
+                       for _ in range(rng.randint(lo, hi)))
+
+    out = []
+    for i in range(samples):
+        v, vp = rand_word(1, 3), rand_word(1, 3)
+        w = LassoWord(rand_word(0, 2), rand_word(1, 3))
+        vw, vv, vpvp = prepend(v, w), LassoWord("", v), LassoWord("", vp)
+        joint = LassoWord("", v + vp)
+        pool = [vw, vv, vpvp, joint, w]
+        for x, y in combinations(pool, 2):
+            if compare_lassos(a, x, y).incomparable:
+                out.append("draw %d: %s and %s incomparable" % (i, x, y))
+        for x, y, z in ((vw, vv, w), (joint, vv, vpvp)):
+            if not (compare_lassos(a, x, y).left_leq
+                    or compare_lassos(a, x, z).left_leq):
+                out.append("draw %d: %s above both %s and %s"
+                           % (i, x, y, z))
+    return tuple(out)
 
 
 class TestWitnessSerialization:

@@ -20,11 +20,6 @@ class TestAlphabet:
         with pytest.raises(ParseError):
             Alphabet("aB")
 
-    def test_key_sorts_by_length_then_declared_order(self):
-        alpha = Alphabet("ba")
-        words = ["ab", "b", "a", "", "ba"]
-        assert sorted(words, key=alpha.key) == ["", "b", "a", "ba", "ab"]
-
     def test_require(self):
         assert AB.require("abba") == "abba"
         with pytest.raises(UnknownLetter):
