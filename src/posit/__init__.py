@@ -5,15 +5,15 @@ protagonist, certify refusals with counterexample games, and reduce
 finite-memory winning strategies to positional ones when it does.
 """
 
-from .automata import (Dpa, format_dpa, member, parse_dpa,
-                       reachable_states, residual_graph, residual_included)
+from .automata import (Dpa, member, parse_dpa, reachable_states,
+                       residual_graph, residual_included)
 from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
                      InvalidSetting, InvalidStrategy, InvalidWitness,
                      MalformedLasso, MergeBrokeWinning, MonoidTooLarge,
                      NotEveOnly, ParseError, PositError,
                      PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
                      UnknownLetter, WitnessRecheckFailed)
-from .gadgets import certify_nonpositional, gadget_from_witness
+from .gadgets import gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
                     validate_strategy, verify_strategy)
@@ -24,8 +24,7 @@ from .positionality import (Comparison, PositionalityVerdict,
                             check_property3, compare_lassos,
                             verify_order_laws, witness_from_dict)
 from .reduction import MergePlan, choose_merge, reduce_to_positional
-from .words import Alphabet, LassoWord, lasso_equal, normalize, parse_lasso, \
-    prepend, unroll
+from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 __all__ = [
     "ADAM", "Alphabet", "AlphabetMismatch", "Arena", "Comparison", "Dpa",
@@ -35,14 +34,11 @@ __all__ = [
     "PositionalityVerdict", "PreconditionViolated", "PriorityMonoid",
     "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",
     "UnknownLetter", "Witness1", "Witness2", "Witness3",
-    "WitnessRecheckFailed",
-    "certify_nonpositional", "check_positional", "check_property1",
+    "WitnessRecheckFailed", "check_positional", "check_property1",
     "check_property2", "check_property3", "choose_merge", "compare_lassos",
-    "find_positional", "format_arena", "format_dpa",
-    "gadget_from_witness", "lasso_equal", "member",
-    "normalize", "parse_arena", "parse_dpa", "parse_lasso", "prepend",
-    "random_arena", "reachable_states", "reduce_to_positional",
-    "residual_graph", "residual_included", "solve_game",
-    "unroll", "validate_strategy",
+    "find_positional", "format_arena", "gadget_from_witness", "member",
+    "parse_arena", "parse_dpa", "parse_lasso", "prepend", "random_arena",
+    "reachable_states", "reduce_to_positional",
+    "residual_graph", "residual_included", "solve_game", "validate_strategy",
     "verify_order_laws", "verify_strategy", "witness_from_dict",
 ]

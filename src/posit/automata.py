@@ -118,21 +118,26 @@ def _state_names(no: int, rest, alphabet: Alphabet, trans):
     return names
 
 
-def parse_dpa(text: str) -> Dpa:
+def _directives(text: str, header: str):
+    """The lines of a .dpa or .arena file after its `header` line, as
+    (line number, directive, tokens); '#' starts a comment, and lines
+    left blank are skipped."""
     lines = []
     for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((no, line.split()))
-    if not lines or lines[0][1] != ["dpa", "v1"]:
-        raise ParseError("expected 'dpa v1' header")
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            lines.append((no, toks))
+    if not lines or lines[0][1] != header.split():
+        raise ParseError("expected '%s' header" % header)
+    return [(no, toks[0], toks[1:]) for no, toks in lines[1:]]
 
+
+def parse_dpa(text: str) -> Dpa:
     alphabet = None
     states = None
     initial_tok = None
     trans = []
-    for no, toks in lines[1:]:
-        key, rest = toks[0], toks[1:]
+    for no, key, rest in _directives(text, "dpa v1"):
         if key == "alphabet":
             if alphabet is not None:
                 raise ParseError("line %d: duplicate alphabet" % no)
@@ -188,20 +193,6 @@ def parse_dpa(text: str) -> Dpa:
                 "line %d: duplicate transition from %s on %r" % (no, src, c))
         row[c] = (ids[tgt], pri)
     return Dpa(alphabet, names, ids[initial_tok], delta)
-
-
-def format_dpa(a: Dpa) -> str:
-    out = ["dpa v1", "alphabet " + " ".join(a.alphabet)]
-    if a.names == tuple(str(i) for i in range(a.n)):
-        out.append("states %d" % a.n)
-    else:
-        out.append("states " + " ".join(a.names))
-    out.append("initial " + a.names[a.initial])
-    for q in range(a.n):
-        for c in a.alphabet:
-            tgt, pri = a.delta[q][c]
-            out.append("trans %s %s %s %d" % (a.names[q], c, a.names[tgt], pri))
-    return "\n".join(out) + "\n"
 
 
 def _lasso_step(a: Dpa, w: LassoWord):

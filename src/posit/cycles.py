@@ -7,13 +7,16 @@ graph, a strategy's plays and their product with an automaton) is built
 by `reachable_graph`, from its roots and a function giving each node's
 edges; the arena × automaton game, whose every node is a root, is
 numbered directly by `games.product_game`.  There are two evaluators.
-The sweep, for branching graphs, enumerates even threshold tuples in
-ascending order; for each it keeps only edges at or above the
-thresholds, decomposes into strongly connected components and looks for
-a component containing, for every coordinate, an edge meeting the
-threshold exactly.  Any cycle
-through such edges has exactly the threshold tuple as its coordinate
-minima, hence is accepting in every coordinate.  The linear walk
+The sweep `_accepting_components`, for branching graphs, enumerates
+even threshold tuples in ascending order; for each it keeps only edges
+at or above the thresholds, decomposes into strongly connected
+components and yields each component containing, for every coordinate,
+an edge meeting the threshold exactly.  Any cycle through such edges
+has exactly the threshold tuple as its coordinate minima, hence is
+accepting in every coordinate.  `nodes_reaching_accepting_cycle` takes
+every such component of a graph and closes them backwards;
+`accepting_lasso_from` takes the first one of the part of the graph a
+node reaches and spells a lasso through it.  The linear walk
 `_walk`, for graphs in which every node has one move, follows the unique
 lasso from a node: it decides strategy plays, the priority monoid's
 omega-powers and lasso words (`automata.member` and `_lasso_mask`).
@@ -89,14 +92,13 @@ def tarjan_scc(order, succ):
     return comps
 
 
-def _threshold_axes(graph, nodes=None):
+def _threshold_axes(graph):
     """Per coordinate, the even priorities on the edges, ascending.
 
     Only these can be met exactly by a cycle, so other thresholds are
     never tried.  None when some coordinate has no even priority.
     """
-    pris = [p for v, edges in graph.items() if nodes is None or v in nodes
-            for _c, _d, p in edges]
+    pris = [p for edges in graph.values() for _c, _d, p in edges]
     axes = [sorted({p for p in column if p % 2 == 0}) for column in zip(*pris)]
     if not axes or not all(axes):
         return None
@@ -113,7 +115,7 @@ def _qualifies(comp, graph, threshold):
     internal = []
     exact = [False] * len(threshold)
     for v in comp:
-        for c, d, pris in graph.get(v, ()):
+        for c, d, pris in graph[v]:
             if d in compset and all(map(ge, pris, threshold)):
                 internal.append((v, c, d, pris))
                 for i, t in enumerate(threshold):
@@ -122,6 +124,22 @@ def _qualifies(comp, graph, threshold):
     if internal and all(exact):
         return internal
     return None
+
+
+def _accepting_components(graph):
+    """The sweep: each (threshold, component) that `_qualifies`, even
+    threshold tuples ascending, and for each the components in
+    `tarjan_scc` order with DFS roots in the graph's order."""
+    axes = _threshold_axes(graph)
+    if axes is None:
+        return
+    for threshold in iproduct(*axes):
+        def succ(v):
+            return [d for _c, d, pris in graph[v]
+                    if all(map(ge, pris, threshold))]
+        for comp in tarjan_scc(graph, succ):
+            if _qualifies(comp, graph, threshold):
+                yield threshold, comp
 
 
 def _path_among(graph, allowed, threshold, frm, to):
@@ -133,7 +151,7 @@ def _path_among(graph, allowed, threshold, frm, to):
     queue = deque([frm])
     while queue:
         v = queue.popleft()
-        for c, d, pris in graph.get(v, ()):
+        for c, d, pris in graph[v]:
             if d in allowed and d not in parent and all(map(ge, pris, threshold)):
                 parent[d] = (v, c, pris)
                 if d == to:
@@ -151,100 +169,68 @@ def _path_among(graph, allowed, threshold, frm, to):
 def accepting_lasso_from(graph, start):
     """A lasso from `start` whose cycle is min-even in every coordinate.
 
-    Returns a LassoWord (access path plus cycle) or None.  The access path
-    runs through the full graph; only the cycle must respect thresholds.
-    Deterministic: BFS in edge-list order, thresholds ascending.
+    Returns a LassoWord (access path plus cycle) or None.  The sweep
+    runs on the part of the graph that `start` reaches, numbered
+    breadth-first; its first component gives the cycle, entered at the
+    component's first node, and the access path is a shortest path
+    there.  Deterministic: BFS in edge-list order, thresholds ascending.
     """
-    order = [start]
-    parent = {start: None}
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for c, d, _p in graph.get(v, ()):
-            if d not in parent:
-                parent[d] = (v, c)
-                order.append(d)
-    reach = set(order)
-    pos = {v: i for i, v in enumerate(order)}
-    axes = _threshold_axes(graph, reach)
-    if axes is None:
+    sub = reachable_graph([start], graph.__getitem__)
+    found = next(_accepting_components(sub), None)
+    if found is None:
         return None
+    threshold, comp = found
+    compset = set(comp)
+    comp = [v for v in sub if v in compset]
+    internal = _qualifies(comp, sub, threshold)
+    entry = comp[0]
+    # no priority is negative, so the zero threshold keeps every edge
+    prefix = [c for c, _p in
+              _path_among(sub, sub, (0,) * len(threshold), start, entry)]
+    covered = [False] * len(threshold)
 
-    for threshold in iproduct(*axes):
-        def succ(v, t=threshold):
-            return [d for c, d, pris in graph.get(v, ())
-                    if d in reach and all(map(ge, pris, t))]
-        comps = tarjan_scc(order, succ)
-        for comp in comps:
-            comp = sorted(comp, key=pos.get)
-            internal = _qualifies(comp, graph, threshold)
-            if internal is None:
-                continue
-            entry = comp[0]
-            prefix = []
-            v = entry
-            while parent[v] is not None:
-                pv, c = parent[v]
-                prefix.append(c)
-                v = pv
-            prefix.reverse()
-            compset = set(comp)
-            covered = [False] * len(threshold)
+    def mark(pris):
+        for i, t in enumerate(threshold):
+            if pris[i] == t:
+                covered[i] = True
 
-            def mark(pris):
-                for i, t in enumerate(threshold):
-                    if pris[i] == t:
-                        covered[i] = True
-
-            cycle = []
-            cur = entry
-            for i in range(len(threshold)):
-                if covered[i]:
-                    continue
-                v2, c2, d2, pris2 = next(
-                    e for e in internal if e[3][i] == threshold[i])
-                for c3, pris3 in _path_among(graph, compset, threshold, cur, v2):
-                    cycle.append(c3)
-                    mark(pris3)
-                if covered[i]:
-                    cur = v2
-                    continue
-                cycle.append(c2)
-                mark(pris2)
-                cur = d2
-            for c3, pris3 in _path_among(graph, compset, threshold, cur, entry):
-                cycle.append(c3)
-            return LassoWord("".join(prefix), "".join(cycle))
-    return None
+    cycle = []
+    cur = entry
+    for i in range(len(threshold)):
+        if covered[i]:
+            continue
+        v2, c2, d2, pris2 = next(
+            e for e in internal if e[3][i] == threshold[i])
+        for c3, pris3 in _path_among(sub, compset, threshold, cur, v2):
+            cycle.append(c3)
+            mark(pris3)
+        if covered[i]:
+            cur = v2
+            continue
+        cycle.append(c2)
+        mark(pris2)
+        cur = d2
+    for c3, _pris3 in _path_among(sub, compset, threshold, cur, entry):
+        cycle.append(c3)
+    return LassoWord("".join(prefix), "".join(cycle))
 
 
 def nodes_reaching_accepting_cycle(graph):
     """All nodes from which some all-coordinates-even cycle is reachable."""
-    axes = _threshold_axes(graph)
-    if axes is None:
-        return set()
     cores = set()
-    order = list(graph)
-    for threshold in iproduct(*axes):
-        def succ(v, t=threshold):
-            return [d for c, d, pris in graph.get(v, ())
-                    if all(map(ge, pris, t))]
-        for comp in tarjan_scc(order, succ):
-            if not cores.issuperset(comp) and _qualifies(comp, graph, threshold):
-                cores.update(comp)
+    for _threshold, comp in _accepting_components(graph):
+        cores.update(comp)
     if not cores:
         return set()
     preds = {v: [] for v in graph}
     for v, edges in graph.items():
         for _c, d, _p in edges:
-            if d in preds:
-                preds[d].append(v)
+            preds[d].append(v)
     out = set(cores)
     stack = list(cores)
     while stack:
         v = stack.pop()
-        for u in preds.get(v, ()):
+        for u in preds[v]:
             if u not in out:
                 out.add(u)
                 stack.append(u)

@@ -119,12 +119,3 @@ def certify(a: Dpa, witness):
     eve_wins = solve_game(game).winning_region.issuperset(starts)
     return arena, starts, eve_wins, find_positional(game, starts) is not None
 
-
-def certify_nonpositional(a: Dpa, witness) -> bool:
-    """Check that the witness gadget separates memory from positional.
-
-    True iff Eve wins the gadget from its starts but no positional
-    strategy does.
-    """
-    _arena, _starts, eve_wins, positional = certify(a, witness)
-    return eve_wins and not positional

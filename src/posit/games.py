@@ -33,7 +33,7 @@ from operator import add, sub
 from math import prod
 import random
 
-from .automata import RESERVED, Dpa
+from .automata import RESERVED, Dpa, _directives
 from .cycles import _walk, nodes_reaching_accepting_cycle, reachable_graph
 from .errors import (AlphabetMismatch, InvalidStrategy, ParseError,
                      PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
@@ -85,18 +85,10 @@ class Arena:
 
 
 def parse_arena(text: str) -> Arena:
-    lines = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((no, line.split()))
-    if not lines or lines[0][1] != ["arena", "v1"]:
-        raise ParseError("expected 'arena v1' header")
     alphabet = None
     owners = {}
     edges = []
-    for no, toks in lines[1:]:
-        key, rest = toks[0], toks[1:]
+    for no, key, rest in _directives(text, "arena v1"):
         if key == "alphabet":
             if alphabet is not None:
                 raise ParseError("line %d: duplicate alphabet" % no)

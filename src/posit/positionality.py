@@ -34,12 +34,24 @@ DEFAULT_MONOID_CAP = 100_000
 
 
 def monoid_cap() -> int:
-    text = os.environ.get("POSIT_MONOID_CAP", str(DEFAULT_MONOID_CAP))
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidSetting("POSIT_MONOID_CAP must be an integer, not %r"
-                             % text) from None
+    """POSIT_MONOID_CAP, or DEFAULT_MONOID_CAP when it is unset.  Only
+    ASCII digits are read, as in files: int() would also take '1_000',
+    ' 7' and the digits of other scripts."""
+    text = os.environ.get("POSIT_MONOID_CAP")
+    if text is None:
+        return DEFAULT_MONOID_CAP
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            cap = int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+        else:
+            if cap < 1:
+                raise InvalidSetting(
+                    "POSIT_MONOID_CAP must be at least 1, not %d" % cap)
+            return cap
+    raise InvalidSetting("POSIT_MONOID_CAP must be an integer, not %r"
+                         % text)
 
 
 class PriorityMonoid:

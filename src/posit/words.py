@@ -83,40 +83,6 @@ def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
     return LassoWord(prefix, period)
 
 
-def _primitive_root(v: str) -> str:
-    n = len(v)
-    for d in range(1, n + 1):
-        if n % d == 0 and v == v[:d] * (n // d):
-            return v[:d]
-    return v
-
-
-def normalize(w: LassoWord) -> LassoWord:
-    """Canonical form: primitive period, then the shortest prefix.
-
-    While the prefix ends with the same letter as the period, that letter is
-    rotated into the period; both steps preserve the denoted infinite word.
-    """
-    prefix, period = w.prefix, _primitive_root(w.period)
-    while prefix and prefix[-1] == period[-1]:
-        prefix, period = prefix[:-1], period[-1] + period[:-1]
-    return LassoWord(prefix, period)
-
-
-def unroll(w: LassoWord, n: int) -> str:
-    """First n letters of the denoted infinite word."""
-    if n <= len(w.prefix):
-        return w.prefix[:n]
-    need = n - len(w.prefix)
-    reps = -(-need // len(w.period))
-    return w.prefix + (w.period * reps)[:need]
-
-
-def lasso_equal(w1: LassoWord, w2: LassoWord) -> bool:
-    """Do two lassos denote the same infinite word?"""
-    return normalize(w1) == normalize(w2)
-
-
 def prepend(u: str, w: LassoWord) -> LassoWord:
     """The lasso denoting u followed by w."""
     return LassoWord(u + w.prefix, w.period)

@@ -18,6 +18,7 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    UnknownLetter, Witness1, Witness2, Witness3, prepend,
                    reachable_states, validate_strategy, verify_strategy)
 from posit.cycles import accepting_lasso_from
+from posit.gadgets import certify
 
 EVE = "E"
 ADAM = "A"
@@ -156,6 +157,57 @@ def complement_shift(a: Dpa) -> Dpa:
     delta = [{c: (tgt, pri + 1) for c, (tgt, pri) in row.items()}
              for row in a.delta]
     return Dpa(a.alphabet, a.names, a.initial, delta)
+
+
+# ---------------------------------------------------------------------------
+# lasso words as the infinite words they denote, automata as text
+
+def _primitive_root(v: str) -> str:
+    n = len(v)
+    for d in range(1, n + 1):
+        if n % d == 0 and v == v[:d] * (n // d):
+            return v[:d]
+    return v
+
+
+def normalize(w: LassoWord) -> LassoWord:
+    """Canonical form: primitive period, then the shortest prefix.
+
+    While the prefix ends with the same letter as the period, that letter is
+    rotated into the period; both steps preserve the denoted infinite word.
+    """
+    prefix, period = w.prefix, _primitive_root(w.period)
+    while prefix and prefix[-1] == period[-1]:
+        prefix, period = prefix[:-1], period[-1] + period[:-1]
+    return LassoWord(prefix, period)
+
+
+def unroll(w: LassoWord, n: int) -> str:
+    """First n letters of the denoted infinite word."""
+    if n <= len(w.prefix):
+        return w.prefix[:n]
+    need = n - len(w.prefix)
+    reps = -(-need // len(w.period))
+    return w.prefix + (w.period * reps)[:need]
+
+
+def lasso_equal(w1: LassoWord, w2: LassoWord) -> bool:
+    """Do two lassos denote the same infinite word?"""
+    return normalize(w1) == normalize(w2)
+
+
+def format_dpa(a: Dpa) -> str:
+    out = ["dpa v1", "alphabet " + " ".join(a.alphabet)]
+    if a.names == tuple(str(i) for i in range(a.n)):
+        out.append("states %d" % a.n)
+    else:
+        out.append("states " + " ".join(a.names))
+    out.append("initial " + a.names[a.initial])
+    for q in range(a.n):
+        for c in a.alphabet:
+            tgt, pri = a.delta[q][c]
+            out.append("trans %s %s %s %d" % (a.names[q], c, a.names[tgt], pri))
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +475,16 @@ def certify_witness(a, wit) -> bool:
                 and not inside(LassoWord(wit.u, wit.v))
                 and not inside(LassoWord(wit.u, wit.vp)))
     raise TypeError("not a witness: %r" % (wit,))
+
+
+def certify_nonpositional(a: Dpa, witness) -> bool:
+    """Check that the witness gadget separates memory from positional.
+
+    True iff Eve wins the gadget from its starts but no positional
+    strategy does.
+    """
+    _arena, _starts, eve_wins, positional = certify(a, witness)
+    return eve_wins and not positional
 
 
 def word_behavior(a, word: str):

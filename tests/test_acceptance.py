@@ -10,14 +10,14 @@ import subprocess
 import sys
 import time
 
-from posit import (Game, certify_nonpositional, check_positional,
+from posit import (Game, check_positional,
                    check_property1, check_property2, check_property3, member,
                    random_arena, reduce_to_positional, solve_game,
                    verify_order_laws, verify_strategy)
 from posit.fixtures import DPA_NAMES, fixture_path, load_arena, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
-                     certify_witness, lassos_up_to, random_lassos, sem_ex3)
+                     certify_nonpositional, certify_witness, lassos_up_to, random_lassos, sem_ex3)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 FAILING = {"onea": 2, "infab": 3, "w2": 3, "res": 1}

@@ -4,15 +4,15 @@ import pytest
 
 import posit
 from posit import (LassoWord, ParseError, PreconditionViolated,
-                   UnknownLetter, format_dpa, member, parse_dpa, prepend,
+                   UnknownLetter, member, parse_dpa, prepend,
                    reachable_states, residual_graph, residual_included)
 from posit.automata import _lasso_mask
 from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
                           reachable_graph)
 from posit.fixtures import DPA_NAMES, load_dpa
 
-from oracles import (SEMANTICS, complement_shift, lassos_up_to, member_from,
-                     pair_graph, random_lassos, sim_member)
+from oracles import (SEMANTICS, complement_shift, format_dpa, lassos_up_to,
+                     member_from, pair_graph, random_lassos, sim_member)
 
 GOOD = """\
 dpa v1

@@ -4,14 +4,13 @@ import random
 import pytest
 
 from posit import (ADAM, EVE, Game, InvalidWitness, LassoWord, UnknownLetter,
-                   Witness1, Witness2, Witness3, certify_nonpositional,
-                   check_positional, find_positional, format_arena,
+                   Witness1, Witness2, Witness3, check_positional, find_positional, format_arena,
                    gadget_from_witness, parse_arena, parse_dpa, random_arena,
                    solve_game, verify_strategy, witness_from_dict)
 from posit.cli import main
 from posit.fixtures import load_dpa
 
-from oracles import random_dpa
+from oracles import certify_nonpositional, random_dpa
 
 # Draw 1754 of random_dpa(random.Random(0), max_states=4): state 0 has no
 # return word, so property 1's witness has an empty access word.

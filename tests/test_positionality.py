@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -9,15 +10,17 @@ from pathlib import Path
 import pytest
 
 import posit
-from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
-                   PositionalityVerdict, PreconditionViolated,
+from posit import (InvalidSetting, InvalidWitness, LassoWord,
+                   MonoidTooLarge, PositionalityVerdict, PreconditionViolated,
                    PriorityMonoid, UnknownLetter, Witness1, Witness2,
                    Witness3, WitnessRecheckFailed, check_positional,
                    check_property1, check_property2, check_property3,
                    compare_lassos, member, prepend, reachable_states,
-                   verify_order_laws, witness_from_dict)
+                   residual_graph, residual_included, verify_order_laws,
+                   witness_from_dict)
 from posit import positionality
 from posit.automata import _lasso_mask
+from posit.cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
 from posit.positionality import _return_word
 from posit.fixtures import DPA_NAMES, load_dpa
 
@@ -87,6 +90,17 @@ class TestMonoid:
         monkeypatch.setenv("POSIT_MONOID_CAP", "3")
         with pytest.raises(MonoidTooLarge):
             PriorityMonoid(load_dpa("w2"))
+        # ASCII digits only, as in files, and a cap of at least one
+        for text, message in (
+                ("0", "at least 1, not 0"), ("-1", "at least 1, not -1"),
+                ("1_000", "an integer, not '1_000'"),
+                (" 7", "an integer, not ' 7'"),
+                ("\uff11\uff10", "an integer, not '\uff11\uff10'"),
+                ("+5", "an integer, not '+5'"), ("", "an integer, not ''")):
+            monkeypatch.setenv("POSIT_MONOID_CAP", text)
+            with pytest.raises(InvalidSetting) as info:
+                PriorityMonoid(load_dpa("w2"))
+            assert str(info.value) == "POSIT_MONOID_CAP must be " + message
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_cayley_table_and_masks(self, name):
@@ -387,6 +401,34 @@ def order_law_violations(a, samples, seed):
                 out.append("draw %d: %s above both %s and %s"
                            % (i, x, y, z))
     return tuple(out)
+
+
+class TestPinnedLassos:
+    """The exact lassos of the residual sweep on seeded random DPAs,
+    pinned by a sha256: each pair's `accepting_lasso_from` on the full
+    residual graph, the set of pairs reaching an accepting cycle, each
+    pair's `residual_included` and the `check_positional` witness.  The
+    oracles' property checks call the same sweep, so only this notices
+    a change in how a lasso is spelled."""
+
+    def test_random_dpas(self):
+        rng = random.Random(16)
+        digest = hashlib.sha256()
+        for _ in range(160):
+            a = random_dpa(rng, max_states=5, max_priority=6)
+            pairs = [(p, q) for p in range(a.n) for q in range(a.n)]
+            graph = residual_graph(a, pairs)
+            verdict = check_positional(a)
+            digest.update(repr((
+                [accepting_lasso_from(graph, pair) for pair in pairs],
+                sorted(nodes_reaching_accepting_cycle(graph)),
+                [residual_included(a, p, q) for p, q in pairs],
+                verdict.failed_property,
+                verdict.witness and verdict.witness.as_dict(),
+            )).encode())
+        assert digest.hexdigest() == (
+            "29bc2178c574d33d239a6d2d3e73bc61"
+            "55c47b529c52372a7debc5228c098c75")
 
 
 class TestWitnessSerialization:

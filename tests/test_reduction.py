@@ -13,13 +13,13 @@ from posit import reduction
 from posit import (Game, IncomparableLassos, InvalidPlan, InvalidStrategy,
                    LassoWord, MergeBrokeWinning, MergePlan, NotEveOnly,
                    PositError, PreconditionViolated, Strategy, choose_merge,
-                   lasso_equal, parse_arena, random_arena,
-                   reduce_to_positional, solve_game, verify_strategy)
+                   parse_arena, random_arena, reduce_to_positional,
+                   solve_game, verify_strategy)
 from posit.fixtures import DPA_NAMES, load_arena, load_dpa
 from posit.reduction import _SharedPairs, _Working
 
 import oracles
-from oracles import (merge, path_word, ref_choose_merge,
+from oracles import (lasso_equal, merge, path_word, ref_choose_merge,
                      ref_least_shared_pair, ref_reduce, unique_path_lasso)
 
 
