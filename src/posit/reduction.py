@@ -16,11 +16,17 @@ verdicts in the merge loop's memo, a loop v^omega's from
 
 `reduce_to_positional` validates the strategy and walks every region
 state's play once, then merges in place on a private working map (one
-move per state, with a predecessor index).  A merge changes only the
-plays of the states that can reach the dropped state, so each merge
-redirects the dropped state's predecessors, forgets the walk verdicts of
-that backward cone and re-walks the cone's region states; a loss raises
-MergeBrokeWinning.  The chooser reads and fills the same walk memo.
+move per state, with a predecessor index).  A merge redirects the
+dropped state d's predecessors to the kept state k, and changes only the
+plays of the states that reached d.  When k's play misses d, the merge
+leaves it as it was, and each changed play now reaches k's play from
+the automaton state in which it reached d's.  So if k's walk verdicts
+equal d's from every automaton state the memo holds for d, no verdict
+changes and the merge forgets only d's own.  Otherwise (k reaches d, or
+a verdict differs) it forgets the verdicts of d's backward cone and
+re-walks the cone's region states; a loss raises MergeBrokeWinning.
+The chooser's traces tell whether k reaches d, and it reads and fills
+the same walk memo.
 Pairs come from per-vertex buckets and a heap, in the order of a scan
 over the sorted states, and the result is built once, in the input's
 order, so it equals a fresh merge and `verify_strategy` after every step.
@@ -34,7 +40,8 @@ from .cycles import _walk
 from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
                      MergeBrokeWinning, NotEveOnly, PreconditionViolated,
                      UnknownLetter)
-from .games import Game, Strategy, _one_move_step, validate_strategy
+from .games import (Game, Strategy, _check_starts, _one_move_step,
+                    validate_strategy)
 from .positionality import _compare
 from .words import LassoWord
 
@@ -64,14 +71,17 @@ def _trace(move, frm, to):
         seen[cur] = len(letters)
 
 
-def _choose_merge(a: Dpa, sigma, move, memo, p, q) -> MergePlan:
-    """`choose_merge` over the single moves `move(st) -> (letter, dst)`,
-    reading and filling `memo`, a `cycles._walk` memo valid for `move`."""
+def _choose_merge(a: Dpa, access, sigma, move, memo, reaches, p,
+                  q) -> MergePlan:
+    """`choose_merge` over the single moves `move(st) -> (letter, dst)`
+    and the reachable automaton states `access`, reading and filling
+    `memo`, a `cycles._walk` memo valid for `move`.  Each trace from st
+    towards the other state sets `reaches[st, other]` to whether it
+    reaches it."""
     if p not in sigma or q not in sigma:
         raise PreconditionViolated("unknown state")
     if p == q or sigma[p] != sigma[q]:
         raise PreconditionViolated("states must be distinct and share a vertex")
-    access = reachable_states(a)
     step = _one_move_step(a, move)
 
     def future(st, other):
@@ -80,6 +90,7 @@ def _choose_merge(a: Dpa, sigma, move, memo, p, q) -> MergePlan:
         as (st, mask of the automaton states accepting it, the lasso,
         whether it loops)."""
         letters, split = _trace(move, st, other)
+        reaches[st, other] = split is None
         if split is None:
             loop = LassoWord("", "".join(letters))
             return st, _lasso_mask(a, loop), loop, True
@@ -119,7 +130,7 @@ def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
         if out[0][0] not in a.alphabet:
             raise UnknownLetter("letter %r not in alphabet" % out[0][0])
         return out[0]
-    return _choose_merge(a, s.sigma, move, {}, p, q)
+    return _choose_merge(a, reachable_states(a), s.sigma, move, {}, {}, p, q)
 
 
 class _SharedPairs:
@@ -158,7 +169,9 @@ class _Working:
     `move` sends each state to its single (letter, dst), `preds` indexes
     the states moving into each state and `sigma` maps each state to
     its vertex.  The input strategy is validated on an Eve-only arena,
-    so every state has exactly one move.
+    so every state has exactly one move.  `merge` applies a plan, and
+    `cone` finds the states whose plays it changed, when the merge loop
+    needs them.
     """
 
     def __init__(self, g: Game, s: Strategy):
@@ -169,12 +182,11 @@ class _Working:
         for src, (_letter, dst) in self.move.items():
             self.preds[dst].add(src)
 
-    def merge(self, plan: MergePlan) -> list:
-        """Apply `plan` in place and return the surviving states whose
-        plays passed through `plan.drop`: the only states whose plays
-        the merge changes.  The plan must name two distinct known states
-        over one vertex, and every redirected edge must project onto
-        the arena."""
+    def merge(self, plan: MergePlan) -> set:
+        """Apply `plan` in place and return the states whose move was
+        redirected from `plan.drop` to `plan.keep`.  The plan must name
+        two distinct known states over one vertex, and every redirected
+        edge must project onto the arena."""
         keep, drop = plan.keep, plan.drop
         if keep not in self.sigma or drop not in self.sigma:
             raise InvalidPlan("plan names an unknown state")
@@ -183,16 +195,9 @@ class _Working:
         if self.sigma[keep] != self.sigma[drop]:
             raise InvalidPlan("states %r and %r sit on different vertices"
                               % (keep, drop))
-        cone = {drop}
-        todo = [drop]
-        while todo:
-            for src in self.preds[todo.pop()]:
-                if src not in cone:
-                    cone.add(src)
-                    todo.append(src)
-        cone.discard(drop)
         self.preds[self.move[drop][1]].discard(drop)
-        for src in self.preds.pop(drop):
+        redirected = self.preds.pop(drop)
+        for src in redirected:
             letter, _dst = self.move[src]
             if (self.sigma[src], letter, self.sigma[keep]) \
                     not in self.arena_edges:
@@ -202,6 +207,20 @@ class _Working:
             self.move[src] = (letter, keep)
             self.preds[keep].add(src)
         del self.move[drop], self.sigma[drop]
+        return redirected
+
+    def cone(self, redirected) -> list:
+        """The states that reach one of `redirected`, the states a merge
+        just redirected: those whose plays passed through the dropped
+        state, the only plays the merge changed.  A path to them never
+        used a redirected edge, so the map after the merge finds them."""
+        cone = set(redirected)
+        todo = list(redirected)
+        while todo:
+            for src in self.preds[todo.pop()]:
+                if src not in cone:
+                    cone.add(src)
+                    todo.append(src)
         return list(cone)
 
     def strategy(self, s: Strategy) -> Strategy:
@@ -218,17 +237,20 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
     """Merge memory states until each vertex of `region` keeps only one.
 
     Requires an Eve-only arena and a strategy winning from every memory
-    state over the region.  Each merge re-walks the play of every region
-    state it can change, and a loss raises MergeBrokeWinning.
+    state over the region.  A merge that can change a walk verdict
+    re-walks the play of every region state it changed, and a loss
+    raises MergeBrokeWinning.
     """
     if not g.arena.eve_only():
         raise NotEveOnly("reduction needs an Eve-only arena")
     validate_strategy(g, s)
-    region = set(region)
+    region = set(_check_starts(region, g.arena.owners, "vertex"))
     work = _Working(g, s)
     move = work.move.__getitem__
-    step = _one_move_step(g.condition, move)
-    q0, n = g.condition.initial, g.condition.n
+    a = g.condition
+    access = reachable_states(a)
+    step = _one_move_step(a, move)
+    q0, n = a.initial, a.n
     memo = {}  # (state, automaton state) -> Eve wins the play from it
     if not all(_walk((st, q0), step, memo) for st in s.states
                if s.sigma[st] in region):
@@ -239,17 +261,30 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
         pair = pairs.least()
         if pair is None:
             return work.strategy(s)
-        plan = _choose_merge(g.condition, work.sigma, move, memo, *pair)
+        reaches = {}
+        plan = _choose_merge(a, access, work.sigma, move, memo, reaches,
+                             *pair)
+        keep, drop = plan.keep, plan.drop
         before = len(work.sigma)
-        cone = work.merge(plan)
+        redirected = work.merge(plan)
         if len(work.sigma) != before - 1:
             raise AssertionError("merge did not remove exactly one state")
-        pairs.remove(plan.drop)
-        for st in cone + [plan.drop]:
+        pairs.remove(drop)
+        # if the chooser's trace found that keep's play missed drop (a
+        # plan it did not trace walks the cone), the merge left that play
+        # as it was, and a redirected move reaches (keep, q) where it
+        # reached (drop, q): if those verdicts agree, no verdict changes
+        if reaches.get((keep, drop)) is False and all(
+                _walk((keep, q), step, memo) == memo[drop, q]
+                for q in range(n) if (drop, q) in memo):
+            cone = []
+        else:
+            cone = work.cone(redirected)
+        for st in cone + [drop]:
             for q in range(n):
                 memo.pop((st, q), None)
         for st in cone:
             if work.sigma[st] in region and not _walk((st, q0), step, memo):
                 raise MergeBrokeWinning(
                     "merging %r into %r (case %d) broke the strategy"
-                    % (plan.drop, plan.keep, plan.case))
+                    % (drop, keep, plan.case))

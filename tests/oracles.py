@@ -19,6 +19,7 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    reachable_states, validate_strategy, verify_strategy)
 from posit.cycles import accepting_lasso_from
 from posit.gadgets import certify
+from posit.games import _check_starts
 
 EVE = "E"
 ADAM = "A"
@@ -841,7 +842,7 @@ def ref_reduce(g, s, region):
     if not g.arena.eve_only():
         raise NotEveOnly("reduction needs an Eve-only arena")
     validate_strategy(g, s)
-    region = set(region)
+    region = set(_check_starts(region, g.arena.owners, "vertex"))
 
     def region_states(strat):
         return [st for st in strat.states if strat.sigma[st] in region]

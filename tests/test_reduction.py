@@ -19,8 +19,9 @@ from posit.fixtures import DPA_NAMES, load_arena, load_dpa
 from posit.reduction import _SharedPairs, _Working
 
 import oracles
-from oracles import (lasso_equal, merge, path_word, ref_choose_merge,
-                     ref_least_shared_pair, ref_reduce, unique_path_lasso)
+from oracles import (lasso_equal, member_from, merge, path_word,
+                     ref_choose_merge, ref_least_shared_pair, ref_reduce,
+                     unique_path_lasso)
 
 
 def loop_strategy(edges):
@@ -103,7 +104,7 @@ class TestWorkingMerge:
                     plan = MergePlan(keep=keep, drop=drop, case=1)
                     passing = {st for st in s.states if st != drop
                                and path_word(s, st, drop) is not None}
-                    assert set(work.merge(plan)) == passing
+                    assert set(work.cone(work.merge(plan))) == passing
                     s = merge(s, plan)
                     built = work.strategy(origin)
                     assert (built.states, built.edges) == (s.states, s.edges)
@@ -331,28 +332,50 @@ class TestReduce:
             reduce_to_positional(game, solution.strategy,
                                  solution.winning_region)
 
-    def test_state_count_check_runs_under_optimize(self):
+    def test_state_count_check_runs_under_optimize(self, monkeypatch):
         # an in-place merge step that drops no state is an internal bug,
-        # even under -O
+        # even under -O, on both merge paths: fin_a keeps m2, whose b^omega
+        # m1's a b^omega meets with equal verdicts, so it keeps the walk
+        # verdicts; buchi_a keeps m1, which reaches m2 on their a cycle
+        inputs = [("fin_a", (("m1", "a", "m2"), ("m2", "b", "m2"))),
+                  ("buchi_a", (("m1", "a", "m2"), ("m2", "a", "m1")))]
+        paths = [TestMergePaths.merges(
+                     monkeypatch, Game(load_arena("twoloops"), load_dpa(name)),
+                     loop_strategy(edges), {"center"})
+                 for name, edges in inputs]
+        assert paths == [[("fast", False)], [("cone", True)]]
         code = "\n".join((
             "import posit.reduction as R",
             "from posit.fixtures import load_arena, load_dpa",
             "from posit.games import Game, Strategy",
             "R._Working.merge = lambda self, plan: []",
-            "game = Game(load_arena('twoloops'), load_dpa('fin_a'))",
-            "s = Strategy(('m1', 'm2'), (('m1', 'a', 'm2'), ('m2', 'b', 'm2')),",
-            "             {'m1': 'center', 'm2': 'center'})",
-            "try:",
-            "    R.reduce_to_positional(game, s, {'center'})",
-            "except AssertionError:",
-            "    print('raised', __debug__)",
+            "for name, edges in %r:" % (inputs,),
+            "    game = Game(load_arena('twoloops'), load_dpa(name))",
+            "    s = Strategy(('m1', 'm2'), edges,",
+            "                 {'m1': 'center', 'm2': 'center'})",
+            "    try:",
+            "        R.reduce_to_positional(game, s, {'center'})",
+            "    except AssertionError:",
+            "        print('raised', __debug__)",
         ))
         env = dict(os.environ,
                    PYTHONPATH=str(Path(posit.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, encoding="utf-8", check=True,
                              timeout=60)
-        assert out.stdout == "raised False\n"
+        assert out.stdout == "raised False\n" * 2
+
+    @pytest.mark.parametrize("region, message", [
+        ("center", "not the string 'center'"),
+        ({"nosuch"}, "unknown vertex 'nosuch'"),
+    ])
+    def test_region_must_name_vertices(self, region, message):
+        # read letter by letter, or naming no vertex, the region held no
+        # state, so no merge was checked and the result lost
+        game = Game(load_arena("twoloops"), load_dpa("infab"))
+        solution = solve_game(game)
+        with pytest.raises(PreconditionViolated, match=message):
+            reduce_to_positional(game, solution.strategy, region)
 
     def test_weak_strategy_rejected(self):
         # m1 wins from the start but m2's b loop never sees an a
@@ -418,6 +441,51 @@ class TestPinnedOutputs:
         assert digest.hexdigest() == expected
 
 
+def forced_merge_input():
+    """A game, strategy, region and forced plan whose merge breaks one
+    state whose play it changed.
+
+    onea is "some a, then finitely many": k -b-> d -a-> e -b-> e, and
+    each w reads a into k.  Merging d into k leaves k with b^omega alone,
+    lost, while every w still reads one a first: all ten states' plays
+    change and only k's loses.
+    """
+    arena = parse_arena("arena v1\nalphabet a b\nvertex c E\n"
+                        "vertex e E\nedge c a c\nedge c b c\n"
+                        "edge c a e\nedge e b e\n")
+    game = Game(arena, load_dpa("onea"))
+    winners = ["w%d" % i for i in range(9)]
+    sigma = {st: "c" for st in ["d", "k"] + winners}
+    sigma["e"] = "e"
+    s = Strategy(sigma, [("k", "b", "d"), ("d", "a", "e"), ("e", "b", "e")]
+                 + [(w, "a", "k") for w in winners], sigma)
+    return game, s, {"c"}, MergePlan(keep="k", drop="d", case=2)
+
+
+def changed_play_input():
+    """A game, strategy and region where a choice reads a play that an
+    earlier merge changed.
+
+    onea accepts "some a, then finitely many" from state 0 and "finitely
+    many a" from state 1.  Choosing between a1 and a2 walks c1's play
+    a^omega, rejected from both.  Merging b2 into b1 turns c1's play into
+    a b^omega, accepted from both, so the last choice keeps c1 over c2's
+    b^omega; with c1's old verdicts it would keep c2.
+    """
+    arena = parse_arena("arena v1\nalphabet a b\nvertex d E\n"
+                        "vertex e E\nvertex f E\nedge d a e\n"
+                        "edge d b d\nedge e a e\nedge e b e\n"
+                        "edge f a f\nedge f b d\n")
+    game = Game(arena, load_dpa("onea"))
+    s = Strategy(("a1", "a2", "b1", "b2", "c1", "c2"),
+                 (("a1", "b", "c1"), ("a2", "a", "a2"),
+                  ("b1", "b", "b1"), ("b2", "a", "b2"),
+                  ("c1", "a", "b2"), ("c2", "b", "c2")),
+                 {"a1": "f", "a2": "f", "b1": "e", "b2": "e",
+                  "c1": "d", "c2": "d"})
+    return game, s, set()
+
+
 def outcome(reduce, game, s, region):
     """The reduced strategy's states, edges and sigma, or the exception's
     type and message."""
@@ -467,46 +535,15 @@ class TestIncrementalMatchesReference:
         assert got[0] == "MergeBrokeWinning"
 
     def test_forced_merge_breaks_one_changed_state(self, monkeypatch):
-        # onea is "some a, then finitely many": k -b-> d -a-> e -b-> e,
-        # and each w reads a into k.  Merging d into k leaves k with b^omega
-        # alone, lost, while every w still reads one a first: all ten
-        # states' plays change and only k's loses.
-        arena = parse_arena("arena v1\nalphabet a b\nvertex c E\n"
-                            "vertex e E\nedge c a c\nedge c b c\n"
-                            "edge c a e\nedge e b e\n")
-        game = Game(arena, load_dpa("onea"))
-        winners = ["w%d" % i for i in range(9)]
-        sigma = {st: "c" for st in ["d", "k"] + winners}
-        sigma["e"] = "e"
-        s = Strategy(sigma, [("k", "b", "d"), ("d", "a", "e"),
-                             ("e", "b", "e")]
-                     + [(w, "a", "k") for w in winners], sigma)
-        plan = MergePlan(keep="k", drop="d", case=2)
+        game, s, region, plan = forced_merge_input()
         monkeypatch.setattr(reduction, "_choose_merge", lambda *args: plan)
         monkeypatch.setattr(oracles, "ref_choose_merge", lambda *args: plan)
-        got = self.check(game, s, {"c"})
+        got = self.check(game, s, region)
         assert got == ("MergeBrokeWinning",
                        "merging 'd' into 'k' (case 2) broke the strategy")
 
     def test_choice_reads_a_play_that_a_merge_changed(self):
-        # onea accepts "some a, then finitely many" from state 0 and
-        # "finitely many a" from state 1.  Choosing between a1 and a2
-        # walks c1's play a^omega, rejected from both.  Merging b2 into
-        # b1 turns c1's play into a b^omega, accepted from both, so the
-        # last choice keeps c1 over c2's b^omega; with c1's old verdicts
-        # it would keep c2.
-        arena = parse_arena("arena v1\nalphabet a b\nvertex d E\n"
-                            "vertex e E\nvertex f E\nedge d a e\n"
-                            "edge d b d\nedge e a e\nedge e b e\n"
-                            "edge f a f\nedge f b d\n")
-        game = Game(arena, load_dpa("onea"))
-        s = Strategy(("a1", "a2", "b1", "b2", "c1", "c2"),
-                     (("a1", "b", "c1"), ("a2", "a", "a2"),
-                      ("b1", "b", "b1"), ("b2", "a", "b2"),
-                      ("c1", "a", "b2"), ("c2", "b", "c2")),
-                     {"a1": "f", "a2": "f", "b1": "e", "b2": "e",
-                      "c1": "d", "c2": "d"})
-        assert self.check(game, s, set())[0] == ("a1", "b1", "c1")
+        assert self.check(*changed_play_input())[0] == ("a1", "b1", "c1")
 
     @pytest.mark.parametrize("name", ["onea", "infab", "w2", "res"])
     def test_conditions_needing_memory(self, name):
@@ -522,3 +559,77 @@ class TestIncrementalMatchesReference:
             got = self.check(game, solution.strategy, solution.winning_region)
             kinds.add(got[0] if isinstance(got[0], str) else "reduced")
         assert "reduced" in kinds
+
+
+class TestMergePaths:
+    """A merge keeps every walk verdict and skips the dropped state's
+    cone exactly when the kept state's play misses the dropped state
+    and both plays have equal verdicts from every automaton state that
+    the walk memo holds for the dropped one.  Each merge's path is
+    checked against that rule, read off the working map by the
+    reference's membership, and each outcome against `ref_reduce`."""
+
+    @staticmethod
+    def merges(monkeypatch, game, s, region):
+        """Reduce under `ref_reduce`'s eye; per merge, the path it took
+        and whether the kept state's play passed through the dropped."""
+        a = game.condition
+        memos, log = [], []
+        choose = reduction._choose_merge
+        work_merge, work_cone = _Working.merge, _Working.cone
+
+        def chooser(*args):
+            memos.append(args[4])
+            return choose(*args)
+
+        def merge(work, plan):
+            now = work.strategy(s)
+            reached = path_word(now, plan.keep, plan.drop) is not None
+            agree = all(member_from(a, q, unique_path_lasso(now, plan.keep))
+                        == member_from(a, q, unique_path_lasso(now, plan.drop))
+                        for q in range(a.n) if (plan.drop, q) in memos[-1])
+            log.append(["fast", "fast" if agree and not reached else "cone",
+                        reached])
+            return work_merge(work, plan)
+
+        def cone(work, redirected):
+            log[-1][0] = "cone"
+            return work_cone(work, redirected)
+
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_choose_merge", chooser)
+            m.setattr(_Working, "merge", merge)
+            m.setattr(_Working, "cone", cone)
+            got = outcome(reduce_to_positional, game, s, region)
+        assert got == outcome(ref_reduce, game, s, region)
+        for took, rule, _reached in log:
+            assert took == rule
+        return [(took, reached) for took, _rule, reached in log]
+
+    @pytest.mark.parametrize("name", ["ex3", "infab", "w2"])
+    def test_random_arenas(self, monkeypatch, name):
+        # cone and fast merges: ex3 6 and 2578, infab 94 and 1851, w2 85
+        # and 1583; every cone merge here has a kept state reaching the
+        # dropped one
+        dpa = load_dpa(name)
+        paths = Counter()
+        for i in range(300):
+            game = Game(random_arena(i % 25 + 1, 3, 1.0, dpa.alphabet, i),
+                        dpa)
+            solution = solve_game(game)
+            paths.update(self.merges(monkeypatch, game, solution.strategy,
+                                     solution.winning_region))
+        assert paths["fast", False] > 1000 and paths["cone", True] > 0
+
+    def test_kept_state_reaching_the_dropped_walks_the_cone(self,
+                                                            monkeypatch):
+        game, s, region, plan = forced_merge_input()
+        monkeypatch.setattr(reduction, "_choose_merge", lambda *args: plan)
+        monkeypatch.setattr(oracles, "ref_choose_merge", lambda *args: plan)
+        assert self.merges(monkeypatch, game, s, region) == [("cone", True)]
+
+    def test_differing_verdicts_walk_the_cone(self, monkeypatch):
+        # merging b2 into b1: b1's b^omega misses b2, but b2's a^omega is
+        # rejected where b^omega is accepted
+        paths = self.merges(monkeypatch, *changed_play_input())
+        assert ("cone", False) in paths and ("fast", False) in paths
