@@ -15,17 +15,15 @@ Zielonka's algorithm solves it on node numbers (`_zielonka` over its
 edge-split form, which `ParityGame` also stores), and `solve_game`, the
 only entry to the solver, builds the play of the winning choice over
 the same numbers, naming memory states only at the end.  The second is
-a strategy with the complement automaton, whose reachable accepting
-cycles are the plays the strategy loses (`_wins`, which
-`verify_strategy` and `find_positional` share).  When every node
-of that product has one move, as for any strategy on an Eve-only arena,
-the linear walk `cycles._walk` decides it; otherwise the threshold/SCC
-sweep of `cycles.nodes_reaching_accepting_cycle` does.  `_one_move_step`
-gives the walk's step on a strategy's single moves, so the merge loop of
-`reduction.reduce_to_positional` runs the same walk on its working map
-and keeps the memo across merges.
-`cycles.reachable_graph` builds only plays: that second product, and
-the plays of a fixed choice in `solve_game` and `find_positional`.
+a strategy's plays with the complement automaton, whose reachable
+accepting cycles are the plays the strategy loses (`_wins`, which
+`verify_strategy` and `find_positional` share).  When every play state
+has one move, as on an Eve-only arena, the linear walk `cycles._walk`
+decides it on `_one_move_step`, the step the merge loop of
+`reduction.reduce_to_positional` walks too, and no product is built;
+otherwise the threshold/SCC sweep of
+`cycles.nodes_reaching_accepting_cycle` decides the built product.
+`cycles.reachable_graph` builds every play graph and that product.
 """
 
 from itertools import chain, count, product as iproduct, repeat
@@ -42,6 +40,7 @@ from .words import Alphabet
 
 EVE = "E"
 ADAM = "A"
+_CHOICE_CAP = 10 ** 6  # the most choice functions `find_positional` tries
 
 
 class Arena:
@@ -302,7 +301,11 @@ class Strategy:
         self.states = tuple(states)
         self.edges = tuple(edges)
         self.sigma = dict(sigma)
-        self._out = {s: [] for s in self.states}
+        self._out = {}
+        for s in self.states:
+            if s in self._out:
+                raise InvalidStrategy("duplicate state %r" % (s,))
+            self._out[s] = []
         for src, letter, dst in self.edges:
             if src not in self._out:
                 raise InvalidStrategy("edge from unknown state %r" % (src,))
@@ -412,34 +415,32 @@ def _one_move_step(a: Dpa, move):
     return step
 
 
-def _wins(g: Game, out_edges, starts) -> bool:
-    """Is every play from `starts` that follows `out_edges` won by Eve?
+def _wins(g: Game, plays, starts) -> bool:
+    """Is every play from `starts` won by Eve?  `plays` is the play
+    graph `reachable_graph(starts, moves)`: each state the starts reach,
+    mapped to its (letter, dst) moves.
 
     The plays lose iff an even-minimum cycle of their product with the
-    complement is reachable from a start.  When every product node has
-    one move, each start walks into exactly one cycle and `_walk`
-    decides them all.  Otherwise the threshold/SCC sweep does.
+    complement is reachable from a start.  When every reached state has
+    one move, each start walks into exactly one cycle of that product,
+    and `_walk` decides them all on `_one_move_step`, with no product
+    built.  Otherwise the threshold/SCC sweep runs on the product.
     """
-    delta = g.condition.delta
+    a = g.condition
+    roots = [(st, a.initial) for st in starts]
+    if all(len(out) == 1 for out in plays.values()):
+        step = _one_move_step(a, lambda st: plays[st][0])
+        memo = {}
+        return all(_walk(root, step, memo) for root in roots)
+    delta = a.delta
 
-    def moves(node):
+    def moves(node):  # with the complement's priorities, shifted by one
         row = delta[node[1]]
-        out = []
-        for letter, dst in out_edges(node[0]):
-            q2, pri = row[letter]
-            # the complement's priority, shifted by one
-            out.append((letter, (dst, q2), (pri + 1,)))
-        return out
+        return [(c, (dst, row[c][0]), (row[c][1] + 1,))
+                for c, dst in plays[node[0]]]
 
-    roots = [(st, g.condition.initial) for st in starts]
-    graph = reachable_graph(roots, moves)
-    if any(len(edges) != 1 for edges in graph.values()):
-        bad = nodes_reaching_accepting_cycle(graph)
-        return not any(root in bad for root in roots)
-    step = {node: (edges[0][1], edges[0][2][0])
-            for node, edges in graph.items()}
-    memo = {}
-    return all(_walk(root, step.__getitem__, memo) for root in roots)
+    bad = nodes_reaching_accepting_cycle(reachable_graph(roots, moves))
+    return not any(root in bad for root in roots)
 
 
 def _check_starts(starts, known, kind: str) -> list:
@@ -460,25 +461,27 @@ def verify_strategy(g: Game, s: Strategy, starts) -> bool:
     """Does the strategy win from every given start state?"""
     validate_strategy(g, s)
     starts = _check_starts(starts, s.sigma, "start state")
-    return _wins(g, s.out_edges, starts)
+    return _wins(g, reachable_graph(starts, s.out_edges), starts)
 
 
-def find_positional(g: Game, starts, cap: int = 10 ** 6):
+def find_positional(g: Game, starts):
     """Smallest-index positional strategy winning from every start, or None.
 
     Enumerates Eve's choice functions in edge-list order, skipping
     functions that agree on the part of the arena reachable from the
     starts, and tests the plays of each remaining one; only the winning
-    choice becomes a `Strategy`, validated once.
+    choice becomes a `Strategy`, validated once.  More than
+    `_CHOICE_CAP` choice functions raise SearchSpaceTooLarge up front.
     """
     arena = g.arena
     starts = _check_starts(starts, arena.owners, "vertex")
     eve_vertices = [v for v in arena.owners if arena.owners[v] == EVE]
     degrees = [len(arena.out_edges(v)) for v in eve_vertices]
     total = prod(degrees)
-    if total > cap:
+    if total > _CHOICE_CAP:
         raise SearchSpaceTooLarge(
-            "%d positional strategies exceed the cap of %d" % (total, cap))
+            "%d positional strategies exceed the cap of %d"
+            % (total, _CHOICE_CAP))
     seen_signatures = set()
     for combo in iproduct(*(range(d) for d in degrees)):
         choice = dict(zip(eve_vertices, combo))
@@ -494,7 +497,7 @@ def find_positional(g: Game, starts, cap: int = 10 ** 6):
         if signature in seen_signatures:
             continue
         seen_signatures.add(signature)
-        if _wins(g, moves, starts):
+        if _wins(g, reach, starts):
             edges = [(v, letter, dst) for v in arena.owners
                      for letter, dst in moves(v)]
             strategy = Strategy(tuple(arena.owners), edges,

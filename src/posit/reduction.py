@@ -16,17 +16,18 @@ verdicts in the merge loop's memo, a loop v^omega's from
 
 `reduce_to_positional` validates the strategy and walks every region
 state's play once, then merges in place on a private working map (one
-move per state, with a predecessor index).  A merge redirects the
-dropped state d's predecessors to the kept state k, and changes only the
-plays of the states that reached d.  When k's play misses d, the merge
-leaves it as it was, and each changed play now reaches k's play from
-the automaton state in which it reached d's.  So if k's walk verdicts
-equal d's from every automaton state the memo holds for d, no verdict
-changes and the merge forgets only d's own.  Otherwise (k reaches d, or
-a verdict differs) it forgets the verdicts of d's backward cone and
-re-walks the cone's region states; a loss raises MergeBrokeWinning.
-The chooser's traces tell whether k reaches d, and it reads and fills
-the same walk memo.
+move per state, with a predecessor index).  The walk memo always holds
+verdicts of the current map's plays.  A merge redirects the dropped
+state d's predecessors to the kept state k, and changes only the plays
+of the states that reached d.  When k's play misses d, the merge leaves
+it as it was, and each changed play now reaches k's play from the
+automaton state in which it reached d's.  So if k's walk verdicts equal
+d's from every automaton state the memo holds for d, no verdict changes
+and the merge forgets only d's own.  Otherwise (k reaches d, or a
+verdict differs) it forgets every verdict and re-walks every region
+state's play: each won before the merge, so a loss is a play the merge
+changed, and raises MergeBrokeWinning.  The chooser's traces tell
+whether k reaches d, and it reads and fills the same walk memo.
 Pairs come from per-vertex buckets and a heap, in the order of a scan
 over the sorted states, and the result is built once, in the input's
 order, so it equals a fresh merge and `verify_strategy` after every step.
@@ -169,9 +170,7 @@ class _Working:
     `move` sends each state to its single (letter, dst), `preds` indexes
     the states moving into each state and `sigma` maps each state to
     its vertex.  The input strategy is validated on an Eve-only arena,
-    so every state has exactly one move.  `merge` applies a plan, and
-    `cone` finds the states whose plays it changed, when the merge loop
-    needs them.
+    so every state has exactly one move.  `merge` applies a plan.
     """
 
     def __init__(self, g: Game, s: Strategy):
@@ -182,10 +181,10 @@ class _Working:
         for src, (_letter, dst) in self.move.items():
             self.preds[dst].add(src)
 
-    def merge(self, plan: MergePlan) -> set:
-        """Apply `plan` in place and return the states whose move was
-        redirected from `plan.drop` to `plan.keep`.  The plan must name
-        two distinct known states over one vertex, and every redirected
+    def merge(self, plan: MergePlan) -> None:
+        """Apply `plan` in place: redirect every move into `plan.drop`
+        to `plan.keep` and delete `plan.drop`.  The plan must name two
+        distinct known states over one vertex, and every redirected
         edge must project onto the arena."""
         keep, drop = plan.keep, plan.drop
         if keep not in self.sigma or drop not in self.sigma:
@@ -196,8 +195,7 @@ class _Working:
             raise InvalidPlan("states %r and %r sit on different vertices"
                               % (keep, drop))
         self.preds[self.move[drop][1]].discard(drop)
-        redirected = self.preds.pop(drop)
-        for src in redirected:
+        for src in self.preds.pop(drop):
             letter, _dst = self.move[src]
             if (self.sigma[src], letter, self.sigma[keep]) \
                     not in self.arena_edges:
@@ -207,21 +205,6 @@ class _Working:
             self.move[src] = (letter, keep)
             self.preds[keep].add(src)
         del self.move[drop], self.sigma[drop]
-        return redirected
-
-    def cone(self, redirected) -> list:
-        """The states that reach one of `redirected`, the states a merge
-        just redirected: those whose plays passed through the dropped
-        state, the only plays the merge changed.  A path to them never
-        used a redirected edge, so the map after the merge finds them."""
-        cone = set(redirected)
-        todo = list(redirected)
-        while todo:
-            for src in self.preds[todo.pop()]:
-                if src not in cone:
-                    cone.add(src)
-                    todo.append(src)
-        return list(cone)
 
     def strategy(self, s: Strategy) -> Strategy:
         """The working map as a `Strategy`, in the state, edge and sigma
@@ -233,13 +216,21 @@ class _Working:
                         {st: v for st, v in s.sigma.items() if st in alive})
 
 
+def _region_wins(sigma, region, step, q0, memo) -> bool:
+    """Does the play of every state of `sigma` over `region` win from
+    the automaton's initial state `q0`?  Walks them on `step`, reading
+    and filling `memo`."""
+    return all(_walk((st, q0), step, memo)
+               for st, v in sigma.items() if v in region)
+
+
 def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
     """Merge memory states until each vertex of `region` keeps only one.
 
     Requires an Eve-only arena and a strategy winning from every memory
     state over the region.  A merge that can change a walk verdict
-    re-walks the play of every region state it changed, and a loss
-    raises MergeBrokeWinning.
+    forgets them all and re-walks the play of every region state, and a
+    loss raises MergeBrokeWinning.
     """
     if not g.arena.eve_only():
         raise NotEveOnly("reduction needs an Eve-only arena")
@@ -252,8 +243,7 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
     step = _one_move_step(a, move)
     q0, n = a.initial, a.n
     memo = {}  # (state, automaton state) -> Eve wins the play from it
-    if not all(_walk((st, q0), step, memo) for st in s.states
-               if s.sigma[st] in region):
+    if not _region_wins(work.sigma, region, step, q0, memo):
         raise PreconditionViolated(
             "strategy must win from every memory state over the region")
     pairs = _SharedPairs(s.sigma)
@@ -266,25 +256,22 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
                              *pair)
         keep, drop = plan.keep, plan.drop
         before = len(work.sigma)
-        redirected = work.merge(plan)
+        work.merge(plan)
         if len(work.sigma) != before - 1:
             raise AssertionError("merge did not remove exactly one state")
         pairs.remove(drop)
         # if the chooser's trace found that keep's play missed drop (a
-        # plan it did not trace walks the cone), the merge left that play
-        # as it was, and a redirected move reaches (keep, q) where it
-        # reached (drop, q): if those verdicts agree, no verdict changes
+        # plan it did not trace re-walks the region), the merge left that
+        # play as it was, and a redirected move reaches (keep, q) where
+        # it reached (drop, q): if those verdicts agree, none changes
         if reaches.get((keep, drop)) is False and all(
                 _walk((keep, q), step, memo) == memo[drop, q]
                 for q in range(n) if (drop, q) in memo):
-            cone = []
-        else:
-            cone = work.cone(redirected)
-        for st in cone + [drop]:
             for q in range(n):
-                memo.pop((st, q), None)
-        for st in cone:
-            if work.sigma[st] in region and not _walk((st, q0), step, memo):
+                memo.pop((drop, q), None)
+        else:
+            memo.clear()
+            if not _region_wins(work.sigma, region, step, q0, memo):
                 raise MergeBrokeWinning(
                     "merging %r into %r (case %d) broke the strategy"
                     % (drop, keep, plan.case))

@@ -17,7 +17,7 @@ from posit.games import product_game
 from posit.fixtures import ARENA_NAMES, DPA_NAMES, load_arena, load_dpa
 
 import oracles
-from oracles import brute_eve_region
+from oracles import brute_eve_region, complement_shift
 
 SMALL = """\
 arena v1
@@ -226,6 +226,12 @@ class TestStrategies:
                      {"m1": "center", "m2": "center"})
         assert s.memory() == 2
 
+    def test_duplicate_states_rejected(self):
+        # a repeated state counted twice towards memory(), and reduction
+        # kept both copies over one vertex
+        with pytest.raises(InvalidStrategy, match="duplicate state 'm1'"):
+            Strategy(("m1", "m1"), (("m1", "a", "m1"),), {"m1": "center"})
+
     def test_validate_accepts_alternation(self):
         validate_strategy(self.game(), Strategy(
             ("m1", "m2"), (("m1", "a", "m2"), ("m2", "b", "m1")),
@@ -294,13 +300,16 @@ def random_memory_strategy(arena, rng, max_memory=3):
 
 
 class TestWinsWalk:
-    """`_wins` decides a play graph with one move per node by a linear
-    walk; it must agree with the threshold/SCC sweep on the same graph."""
+    """`_wins` decides plays with one move per state by a linear walk,
+    building no product; it must agree with the threshold/SCC sweep on
+    the plays' product with the complement automaton."""
 
     @staticmethod
     def decide(monkeypatch, game, out_edges, starts):
-        """(verdict of `_wins`, verdict of the sweep on the graph `_wins`
-        built, whether `_wins` itself ran the sweep)."""
+        """(verdict of `_wins` on the plays from `starts`, verdict of the
+        sweep on their product with the complement, whether `_wins`
+        itself built that product and swept it)."""
+        plays = reachable_graph(starts, out_edges)
         built, swept = [], []
 
         def recording_graph(roots, moves):
@@ -314,10 +323,19 @@ class TestWinsWalk:
         with monkeypatch.context() as m:
             m.setattr(games, "reachable_graph", recording_graph)
             m.setattr(games, "nodes_reaching_accepting_cycle", recording_sweep)
-            verdict = games._wins(game, out_edges, starts)
-        graph, = built
-        roots = {(st, game.condition.initial) for st in starts}
-        swept_verdict = not roots & nodes_reaching_accepting_cycle(graph)
+            verdict = games._wins(game, plays, starts)
+        delta = complement_shift(game.condition).delta
+
+        def moves(node):
+            return [(letter, (dst, delta[node[1]][letter][0]),
+                     (delta[node[1]][letter][1],))
+                    for letter, dst in plays[node[0]]]
+
+        roots = [(st, game.condition.initial) for st in starts]
+        graph = reachable_graph(roots, moves)
+        swept_verdict = not set(roots) & nodes_reaching_accepting_cycle(graph)
+        assert built == swept
+        assert swept in ([], [graph])
         return verdict, swept_verdict, bool(swept)
 
     @pytest.mark.parametrize("condition", ["buchi_a", "fin_a", "rabin", "ex3"])
@@ -420,10 +438,13 @@ class TestFindPositional:
         assert find_positional(game, ["center"]) is None
 
     def test_cap(self):
+        # the check runs before any choice function is tried
         dpa = load_dpa("buchi_a")
-        arena = random_arena(12, 3, 1.0, dpa.alphabet, seed=5)
-        with pytest.raises(SearchSpaceTooLarge):
-            find_positional(Game(arena, dpa), ["v0"], cap=10)
+        arena = random_arena(40, 3, 1.0, dpa.alphabet, seed=5)
+        with pytest.raises(SearchSpaceTooLarge,
+                           match=r"^\d+ positional strategies exceed the "
+                                 r"cap of 1000000$"):
+            find_positional(Game(arena, dpa), ["v0"])
 
     @pytest.mark.parametrize("condition", ["buchi_a", "onea", "infab"])
     @pytest.mark.parametrize("chunk", range(4))
