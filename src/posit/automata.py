@@ -10,7 +10,8 @@ is therefore a parity shift.  The text format is line based:
     initial 0
     trans 0 a 1 3       # source letter target priority
 
-Comments start with '#'; priorities are bounded by MAX_PRIORITY in files.
+'#' starts a comment anywhere on a line; priorities are bounded by
+MAX_PRIORITY in files.
 
 Membership of a lasso word is decided by `cycles._walk`, the evaluator
 of strategy plays and monoid omega-powers too, on the (letter position,
@@ -53,13 +54,15 @@ class Dpa:
         if not 0 <= initial < len(self.names):
             raise ParseError("initial state out of range")
         self._ids = {name: i for i, name in enumerate(self.names)}
+        letters = alphabet.letters
+        known = set(letters)
         for q, row in enumerate(self.delta):
-            for c in alphabet:
+            for c in letters:
                 if c not in row:
                     raise ParseError(
                         "state %s has no transition on %r" % (self.names[q], c))
             for c, (tgt, pri) in row.items():
-                if c not in alphabet:
+                if c not in known:
                     raise UnknownLetter("letter %r not in alphabet" % c)
                 if not 0 <= tgt < len(self.names):
                     raise ParseError("transition target out of range")
@@ -120,16 +123,25 @@ def _state_names(no: int, rest, alphabet: Alphabet, trans):
 
 def _directives(text: str, header: str):
     """The lines of a .dpa or .arena file after its `header` line, as
-    (line number, directive, tokens); '#' starts a comment, and lines
-    left blank are skipped."""
-    lines = []
+    (line number, tokens, the directive first), yielded in one pass
+    over the text.  '#' starts a comment anywhere on a line, and lines
+    left blank are skipped.  The first line left must be `header`: it
+    is checked before any other line is yielded."""
+    want = header.split()
     for no, raw in enumerate(text.splitlines(), 1):
-        toks = raw.split("#", 1)[0].split()
-        if toks:
-            lines.append((no, toks))
-    if not lines or lines[0][1] != header.split():
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        toks = raw.split()
+        if not toks:
+            continue
+        if want is None:
+            yield no, toks
+        elif toks == want:
+            want = None
+        else:
+            break
+    if want is not None:
         raise ParseError("expected '%s' header" % header)
-    return [(no, toks[0], toks[1:]) for no, toks in lines[1:]]
 
 
 def parse_dpa(text: str) -> Dpa:
@@ -137,28 +149,29 @@ def parse_dpa(text: str) -> Dpa:
     states = None
     initial_tok = None
     trans = []
-    for no, key, rest in _directives(text, "dpa v1"):
-        if key == "alphabet":
+    for no, toks in _directives(text, "dpa v1"):
+        key = toks[0]
+        if key == "trans":
+            if len(toks) != 5:
+                raise ParseError(
+                    "line %d: trans takes source letter target priority" % no)
+            trans.append((no, toks[1:]))
+        elif key == "alphabet":
             if alphabet is not None:
                 raise ParseError("line %d: duplicate alphabet" % no)
-            alphabet = Alphabet(rest)
+            alphabet = Alphabet(toks[1:])
         elif key == "states":
             if states is not None:
                 raise ParseError("line %d: duplicate states" % no)
-            if not rest:
+            if len(toks) == 1:
                 raise ParseError("line %d: empty states line" % no)
-            states = (no, rest)
+            states = (no, toks[1:])
         elif key == "initial":
             if initial_tok is not None:
                 raise ParseError("line %d: duplicate initial" % no)
-            if len(rest) != 1:
+            if len(toks) != 2:
                 raise ParseError("line %d: initial takes one state" % no)
-            initial_tok = rest[0]
-        elif key == "trans":
-            if len(rest) != 4:
-                raise ParseError(
-                    "line %d: trans takes source letter target priority" % no)
-            trans.append((no, rest))
+            initial_tok = toks[1]
         else:
             raise ParseError("line %d: unknown directive %r" % (no, key))
 

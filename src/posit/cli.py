@@ -2,9 +2,10 @@
 
 Exit codes: 0 when the query holds (positional, member, included,
 certified), 1 when it is refuted or the requested reduction is not
-applicable, 2 for parse, input and resource-limit errors.  A witness
-that fails its own membership re-check (WitnessRecheckFailed) is an
-internal error, not an input error: it propagates like any other bug.
+applicable, 2 for parse, input and resource-limit errors, a sink vertex
+among them.  A witness that fails its own membership re-check
+(WitnessRecheckFailed) is an internal error, not an input error: it
+propagates like any other bug.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 from .automata import member, parse_dpa, residual_included
 from .errors import (IncomparableLassos, InvalidSetting, InvalidWitness,
                      MergeBrokeWinning, NotEveOnly, ParseError, PositError,
-                     PreconditionViolated, SinkVertex, WitnessRecheckFailed)
+                     PreconditionViolated, WitnessRecheckFailed)
 from .fixtures import data_dir, fixture_path
 from .gadgets import certify
 from .games import (Game, format_arena, parse_arena, random_arena, solve_game,
@@ -26,15 +27,17 @@ from .positionality import (check_positional, compare_lassos,
 from .reduction import reduce_to_positional
 from .words import parse_lasso
 
-_DOMAIN_ERRORS = (SinkVertex, NotEveOnly, IncomparableLassos,
-                  MergeBrokeWinning, PreconditionViolated)
+_DOMAIN_ERRORS = (NotEveOnly, IncomparableLassos, MergeBrokeWinning,
+                  PreconditionViolated)
 
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text (%s)" % (path, exc)) from None
+    # a leading byte-order mark is not part of the text
+    return text.removeprefix("\ufeff")
 
 
 def _load_dpa(path: str):

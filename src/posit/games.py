@@ -44,32 +44,35 @@ _CHOICE_CAP = 10 ** 6  # the most choice functions `find_positional` tries
 
 
 class Arena:
-    """Sinkless labelled game graph with an owner per vertex."""
+    """Sinkless labelled game graph with an owner per vertex.
+
+    A repeated edge counts once, at its first occurrence.  The checks
+    run in a fixed order, so a malformed arena is always named by the
+    same error: the first edge with an unknown endpoint or letter, then
+    the first vertex with an unknown owner or a reserved name, then the
+    first vertex without an outgoing edge.
+    """
 
     def __init__(self, alphabet: Alphabet, owners: dict, edges):
         self.alphabet = alphabet
-        self.owners = dict(owners)
-        seen = set()
-        self.edges = []
+        self.owners = owners = dict(owners)
+        self.edges = edges = list(dict.fromkeys(map(tuple, edges)))
+        known = set(alphabet.letters)
+        self._out = out = {v: [] for v in owners}
         for src, letter, dst in edges:
-            if src not in self.owners or dst not in self.owners:
+            if src not in out or dst not in out:
                 raise ParseError("edge endpoint %r is not a vertex"
-                                 % (src if src not in self.owners else dst))
-            if letter not in alphabet:
+                                 % (src if src not in out else dst))
+            if letter not in known:
                 raise UnknownLetter("letter %r not in alphabet" % letter)
-            if (src, letter, dst) not in seen:
-                seen.add((src, letter, dst))
-                self.edges.append((src, letter, dst))
-        for v, owner in self.owners.items():
+            out[src].append((letter, dst))
+        for v, owner in owners.items():
             if owner not in (EVE, ADAM):
                 raise ParseError("vertex %r has unknown owner %r" % (v, owner))
             if RESERVED in v:
                 raise ParseError("%r is reserved in vertex names" % RESERVED)
-        self._out = {v: [] for v in self.owners}
-        for src, letter, dst in self.edges:
-            self._out[src].append((letter, dst))
-        for v, out in self._out.items():
-            if not out:
+        for v, moves in out.items():
+            if not moves:
                 raise SinkVertex("vertex %r has no outgoing edge" % v)
 
     def out_edges(self, v):
@@ -87,24 +90,24 @@ def parse_arena(text: str) -> Arena:
     alphabet = None
     owners = {}
     edges = []
-    for no, key, rest in _directives(text, "arena v1"):
-        if key == "alphabet":
-            if alphabet is not None:
-                raise ParseError("line %d: duplicate alphabet" % no)
-            alphabet = Alphabet(rest)
-        elif key == "vertex":
-            if len(rest) != 2:
-                raise ParseError("line %d: vertex takes name and owner" % no)
-            name, owner = rest
-            if name in owners:
-                raise ParseError("line %d: duplicate vertex %r" % (no, name))
-            owners[name] = owner
-        elif key == "edge":
-            if len(rest) != 3:
+    for no, toks in _directives(text, "arena v1"):
+        key = toks[0]
+        if key == "edge":
+            if len(toks) != 4:
                 raise ParseError(
                     "line %d: edge takes source letter target" % no)
-            src, letter, dst = rest
-            edges.append((src, letter, dst))
+            edges.append((toks[1], toks[2], toks[3]))
+        elif key == "vertex":
+            if len(toks) != 3:
+                raise ParseError("line %d: vertex takes name and owner" % no)
+            name = toks[1]
+            if name in owners:
+                raise ParseError("line %d: duplicate vertex %r" % (no, name))
+            owners[name] = toks[2]
+        elif key == "alphabet":
+            if alphabet is not None:
+                raise ParseError("line %d: duplicate alphabet" % no)
+            alphabet = Alphabet(toks[1:])
         else:
             raise ParseError("line %d: unknown directive %r" % (no, key))
     if alphabet is None:
@@ -367,10 +370,6 @@ class GameSolution:
         self.start_states = tuple(start_states)
 
 
-def _mstate(g: Game, v, q) -> str:
-    return "%s%s%s" % (v, RESERVED, g.condition.names[q])
-
-
 def solve_game(g: Game) -> GameSolution:
     """Eve's winning region and a winning strategy from it.
 
@@ -393,12 +392,15 @@ def solve_game(g: Game) -> GameSolution:
     play = reachable_graph(starts, moves)
     if not eve.issuperset(play):
         raise AssertionError("the product strategy leaves Eve's region")
-    label = {i: _mstate(g, *pg.node(i)) for i in play}
+    # memory state (v, q) is named v@q, the vertex and state names joined
+    names, n = pg.names, pg.n
+    suffix = [RESERVED + name for name in g.condition.names]
+    label = {i: names[i // n] + suffix[i % n] for i in play}
     edges = [(label[i], c, label[dst])
              for i, out in play.items() for c, dst in out]
-    sigma = {label[i]: pg.node(i)[0] for i in play}
+    sigma = {label[i]: names[i // n] for i in play}
     strategy = Strategy(label.values(), edges, sigma)
-    return GameSolution({pg.node(i)[0] for i in starts}, strategy,
+    return GameSolution({names[i // n] for i in starts}, strategy,
                         [label[i] for i in starts])
 
 

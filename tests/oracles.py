@@ -14,9 +14,11 @@ from itertools import product
 
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
-                   NotEveOnly, PreconditionViolated, PropertyReport, Strategy,
-                   UnknownLetter, Witness1, Witness2, Witness3, prepend,
-                   reachable_states, validate_strategy, verify_strategy)
+                   NotEveOnly, ParseError, PreconditionViolated,
+                   PropertyReport, SinkVertex, Strategy, UnknownLetter,
+                   Witness1, Witness2, Witness3, prepend, reachable_states,
+                   validate_strategy, verify_strategy)
+from posit.automata import MAX_PRIORITY, RESERVED, _number, _state_names
 from posit.cycles import accepting_lasso_from
 from posit.gadgets import certify
 from posit.games import _check_starts
@@ -209,6 +211,150 @@ def format_dpa(a: Dpa) -> str:
             tgt, pri = a.delta[q][c]
             out.append("trans %s %s %s %d" % (a.names[q], c, a.names[tgt], pri))
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the text formats read the plain way: every line listed and sliced, then
+# each directive and each edge checked on its own.  The count and name
+# helpers `_number` and `_state_names` are the package's.
+
+RefDpa = namedtuple("RefDpa", "alphabet names initial delta")
+RefArena = namedtuple("RefArena", "alphabet owners edges out")
+
+
+def ref_directives(text: str, header: str):
+    lines = []
+    for no, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            lines.append((no, toks))
+    if not lines or lines[0][1] != header.split():
+        raise ParseError("expected '%s' header" % header)
+    return [(no, toks[0], toks[1:]) for no, toks in lines[1:]]
+
+
+def ref_parse_dpa(text: str) -> RefDpa:
+    """`parse_dpa` with the `Dpa` constructor's completeness check,
+    as a plain record: letters, names, initial state, delta rows."""
+    alphabet = None
+    states = None
+    initial_tok = None
+    trans = []
+    for no, key, rest in ref_directives(text, "dpa v1"):
+        if key == "alphabet":
+            if alphabet is not None:
+                raise ParseError("line %d: duplicate alphabet" % no)
+            alphabet = Alphabet(rest)
+        elif key == "states":
+            if states is not None:
+                raise ParseError("line %d: duplicate states" % no)
+            if not rest:
+                raise ParseError("line %d: empty states line" % no)
+            states = (no, rest)
+        elif key == "initial":
+            if initial_tok is not None:
+                raise ParseError("line %d: duplicate initial" % no)
+            if len(rest) != 1:
+                raise ParseError("line %d: initial takes one state" % no)
+            initial_tok = rest[0]
+        elif key == "trans":
+            if len(rest) != 4:
+                raise ParseError(
+                    "line %d: trans takes source letter target priority" % no)
+            trans.append((no, rest))
+        else:
+            raise ParseError("line %d: unknown directive %r" % (no, key))
+    if alphabet is None:
+        raise ParseError("missing alphabet line")
+    if states is None:
+        raise ParseError("missing states line")
+    if initial_tok is None:
+        raise ParseError("missing initial line")
+    names = _state_names(*states, alphabet, trans)
+    ids = {name: i for i, name in enumerate(names)}
+    if len(ids) != len(names):
+        raise ParseError("duplicate state name")
+    if initial_tok not in ids:
+        raise ParseError("unknown initial state %r" % initial_tok)
+    delta = [dict() for _ in names]
+    for no, (src, c, tgt, pri_tok) in trans:
+        if src not in ids:
+            raise ParseError("line %d: unknown state %r" % (no, src))
+        if tgt not in ids:
+            raise ParseError("line %d: unknown state %r" % (no, tgt))
+        if c not in alphabet:
+            raise ParseError("line %d: letter %r not in alphabet" % (no, c))
+        pri = _number(no, pri_tok, "priority")
+        if pri > MAX_PRIORITY:
+            raise ParseError(
+                "line %d: priority %d outside 0..%d" % (no, pri, MAX_PRIORITY))
+        row = delta[ids[src]]
+        if c in row:
+            raise ParseError(
+                "line %d: duplicate transition from %s on %r" % (no, src, c))
+        row[c] = (ids[tgt], pri)
+    for name, row in zip(names, delta):
+        for c in alphabet:
+            if c not in row:
+                raise ParseError(
+                    "state %s has no transition on %r" % (name, c))
+    return RefDpa(alphabet.letters, names, ids[initial_tok], delta)
+
+
+def ref_parse_arena(text: str) -> RefArena:
+    """`parse_arena` with the `Arena` constructor's checks, one edge at
+    a time, as a plain record: letters, owners, edges with repeats
+    dropped, and each vertex's out-edges."""
+    alphabet = None
+    owners = {}
+    raw_edges = []
+    for no, key, rest in ref_directives(text, "arena v1"):
+        if key == "alphabet":
+            if alphabet is not None:
+                raise ParseError("line %d: duplicate alphabet" % no)
+            alphabet = Alphabet(rest)
+        elif key == "vertex":
+            if len(rest) != 2:
+                raise ParseError("line %d: vertex takes name and owner" % no)
+            name, owner = rest
+            if name in owners:
+                raise ParseError("line %d: duplicate vertex %r" % (no, name))
+            owners[name] = owner
+        elif key == "edge":
+            if len(rest) != 3:
+                raise ParseError(
+                    "line %d: edge takes source letter target" % no)
+            src, letter, dst = rest
+            raw_edges.append((src, letter, dst))
+        else:
+            raise ParseError("line %d: unknown directive %r" % (no, key))
+    if alphabet is None:
+        raise ParseError("missing alphabet line")
+    if not owners:
+        raise ParseError("arena needs at least one vertex")
+    seen = set()
+    edges = []
+    for src, letter, dst in raw_edges:
+        if src not in owners or dst not in owners:
+            raise ParseError("edge endpoint %r is not a vertex"
+                             % (src if src not in owners else dst))
+        if letter not in alphabet:
+            raise UnknownLetter("letter %r not in alphabet" % letter)
+        if (src, letter, dst) not in seen:
+            seen.add((src, letter, dst))
+            edges.append((src, letter, dst))
+    for v, owner in owners.items():
+        if owner not in (EVE, ADAM):
+            raise ParseError("vertex %r has unknown owner %r" % (v, owner))
+        if RESERVED in v:
+            raise ParseError("%r is reserved in vertex names" % RESERVED)
+    out = {v: [] for v in owners}
+    for src, letter, dst in edges:
+        out[src].append((letter, dst))
+    for v, moves in out.items():
+        if not moves:
+            raise SinkVertex("vertex %r has no outgoing edge" % v)
+    return RefArena(alphabet.letters, owners, edges, out)
 
 
 # ---------------------------------------------------------------------------

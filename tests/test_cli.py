@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +199,32 @@ class TestErrors:
         rc, _, err = run(capsys, "solve", fixture_path("buchi_a"), str(bad))
         assert rc == 2
         assert err.startswith("error: %s is not UTF-8 text" % bad)
+
+    def test_sink_vertex_is_an_input_error(self, capsys, tmp_path):
+        arena = tmp_path / "sink.arena"
+        arena.write_text("arena v1\nalphabet a b c\nvertex u E\nvertex s A\n"
+                         "edge u a u\n", encoding="utf-8")
+        rc, out, err = run(capsys, "solve", fixture_path("ex3"), str(arena))
+        assert (rc, out, err) == (
+            2, "", "error: vertex 's' has no outgoing edge\n")
+
+    @pytest.mark.parametrize("argv", [("check", "--json", "{w2}"),
+                                      ("check", "{ex3}"),
+                                      ("solve", "{w2}", "{w2game}"),
+                                      ("solve", "{buchi_a}", "{twoloops}")])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, argv):
+        plain, marked = [], []
+        for arg in argv:
+            if arg.startswith("{"):
+                path = fixture_path(arg[1:-1])
+                copy = tmp_path / Path(path).name
+                copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+                plain.append(path)
+                marked.append(str(copy))
+            else:
+                plain.append(arg)
+                marked.append(arg)
+        assert run(capsys, *marked) == run(capsys, *plain)
 
     def test_witness_not_json(self, capsys):
         rc, _, err = run(capsys, "gadget", fixture_path("w2"), "{oops")

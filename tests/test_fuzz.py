@@ -2,8 +2,11 @@
 PositError, which the CLI turns into exit 2 with a message.
 
 Text inputs start from the bundled fixtures and get lines dropped,
-repeated or swapped and tokens replaced.  Numbers stay small, because
-a `states N` line builds N names before anything else is checked.
+repeated or swapped, tokens replaced, comments and blank lines added,
+and CRLF line ends.  Numbers stay small, because a `states N` line
+builds N names before anything else is checked.  The two file parsers
+must also agree with the plain reference readers of `oracles`: the
+same automaton or arena, or the same exception type and message.
 The runs are derandomized, so the gate repeats exactly.
 """
 
@@ -14,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from posit import (Alphabet, PositError, parse_arena, parse_dpa, parse_lasso,
                    witness_from_dict)
 from posit.fixtures import ARENA_NAMES, DPA_NAMES, fixture_path
+
+from oracles import ref_parse_arena, ref_parse_dpa
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -44,9 +49,14 @@ def mutated(draw, texts):
             continue
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(["token", "token", "token", "drop",
-                                   "repeat", "swap", "append"]))
+                                   "repeat", "swap", "append", "comment",
+                                   "blank"]))
         if op == "drop":
             del lines[i]
+        elif op == "comment":
+            lines[i] += draw(st.sampled_from([" # note", "#", "\t#x # y"]))
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "# only"])))
         elif op == "repeat":
             lines.insert(i, lines[i])
         elif op == "swap":
@@ -60,7 +70,7 @@ def mutated(draw, texts):
                 # counted from the end, where the values are
                 toks[-1 - draw(st.integers(0, len(toks) - 1))] = draw(TOKENS)
             lines[i] = " ".join(toks)
-    return "\n".join(lines)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
 def parses_or_refuses(parse, *args):
@@ -70,16 +80,29 @@ def parses_or_refuses(parse, *args):
         pass
 
 
+def outcome(parse, text, record):
+    """`record` of what `parse` returns, or its error's type and message."""
+    try:
+        return record(parse(text))
+    except PositError as exc:
+        return type(exc), str(exc)
+
+
 @FUZZ
 @given(st.one_of(mutated(DPA_TEXTS), st.text(max_size=40)))
 def test_parse_dpa(text):
-    parses_or_refuses(parse_dpa, text)
+    assert outcome(parse_dpa, text, lambda a: (
+        a.alphabet.letters, a.names, a.initial, list(a.delta))) == \
+        outcome(ref_parse_dpa, text, tuple)
 
 
 @FUZZ
 @given(st.one_of(mutated(ARENA_TEXTS), st.text(max_size=40)))
 def test_parse_arena(text):
-    parses_or_refuses(parse_arena, text)
+    assert outcome(parse_arena, text, lambda g: (
+        g.alphabet.letters, g.owners, g.edges,
+        {v: g.out_edges(v) for v in g.owners})) == \
+        outcome(ref_parse_arena, text, tuple)
 
 
 @FUZZ

@@ -60,6 +60,42 @@ class TestParseArena:
         with pytest.raises(UnknownLetter):
             parse_arena(SMALL.replace("edge u a e", "edge u q e"))
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ("edge e a w", ParseError, "edge endpoint 'w' is not a vertex"),
+        ("edge e q u", UnknownLetter, "letter 'q' not in alphabet"),
+    ])
+    def test_repeated_bad_edge_named_at_first_occurrence(self, bad, error,
+                                                         message):
+        text = SMALL + bad + "\nedge x a e\n" + bad + "\n"
+        for parse in (parse_arena, oracles.ref_parse_arena):
+            with pytest.raises(error, match="^%s$" % message):
+                parse(text)
+
+    def test_bad_edge_wins_over_bad_owner(self):
+        text = SMALL.replace("vertex u A", "vertex u X").replace(
+            "edge e b u", "edge e q u")
+        with pytest.raises(UnknownLetter, match="^letter 'q' not in alphabet$"):
+            parse_arena(text)
+
+    def test_trailing_comment_on_edge_line(self):
+        arena = parse_arena(SMALL.replace("edge e b u", "edge e b u# back"))
+        assert arena.out_edges("e") == [("b", "u"), ("a", "e")]
+
+    def test_large_round_trip_with_comments_and_blank_lines(self):
+        arena = random_arena(3000, 3, 0.5, load_dpa("ex3").alphabet, seed=0)
+        lines = format_arena(arena).splitlines()
+        for i in range(len(lines) - 1, 0, -97):
+            lines.insert(i, "# comment %d" % i if i % 2 else "")
+            lines[i - 1] += "  # trailing"
+        text = "\r\n".join(lines) + "\r\n"
+        again = parse_arena(text)
+        assert again.owners == arena.owners
+        assert again.edges == arena.edges
+        assert all(again.out_edges(v) == arena.out_edges(v)
+                   for v in arena.owners)
+        ref = oracles.ref_parse_arena(text)
+        assert (ref.owners, ref.edges) == (again.owners, again.edges)
+
     def test_sink_vertex(self):
         with pytest.raises(SinkVertex):
             parse_arena(SMALL.replace("edge u a e\n", ""))
