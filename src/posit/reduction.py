@@ -28,12 +28,13 @@ verdict differs) it forgets every verdict and re-walks every region
 state's play: each won before the merge, so a loss is a play the merge
 changed, and raises MergeBrokeWinning.  The chooser's traces tell
 whether k reaches d, and it reads and fills the same walk memo.
-Pairs come from per-vertex buckets and a heap, in the order of a scan
-over the sorted states, and the result is built once, in the input's
+Pairs come least first, p then q, from one ascending pass over the
+sorted states: at p, while p leads its vertex's sorted bucket, p merges
+with the bucket's second.  A merge removes only p or q, so no state
+below p ever gains a partner.  The result is built once, in the input's
 order, so it equals a fresh merge and `verify_strategy` after every step.
 """
 
-import heapq
 from dataclasses import dataclass
 
 from .automata import Dpa, _lasso_mask, reachable_states
@@ -85,29 +86,31 @@ def _choose_merge(a: Dpa, access, sigma, move, memo, reaches, p,
         raise PreconditionViolated("states must be distinct and share a vertex")
     step = _one_move_step(a, move)
 
+    def lasso(letters, split):
+        return LassoWord("".join(letters[:split]), "".join(letters[split:]))
+
     def future(st, other):
         """What st's play becomes if st survives: the loop v^omega that
         its trace closes through `other`, else its own play.  Returned
-        as (st, mask of the automaton states accepting it, the lasso,
-        whether it loops)."""
+        as (st, mask of the automaton states accepting it, its letters,
+        the index where its cycle starts, 0 for a loop)."""
         letters, split = _trace(move, st, other)
         reaches[st, other] = split is None
         if split is None:
-            loop = LassoWord("", "".join(letters))
-            return st, _lasso_mask(a, loop), loop, True
+            return st, _lasso_mask(a, lasso(letters, 0)), letters, 0
         mask = sum(1 << r for r in access if _walk((st, r), step, memo))
-        return st, mask, LassoWord("".join(letters[:split]),
-                                   "".join(letters[split:])), False
+        return st, mask, letters, split
 
     p_side, q_side = future(p, q), future(q, p)
     # 1: neither trace reaches the other state, 2: only p's, 3: only
     # q's, 4: both, so p and q share a cycle
-    case = 1 + p_side[3] + 2 * q_side[3]
-    left, right = (q_side, p_side) if q_side[3] else (p_side, q_side)
+    case = 1 + reaches[p, q] + 2 * reaches[q, p]
+    left, right = (q_side, p_side) if reaches[q, p] else (p_side, q_side)
     c = _compare(access, left[1], right[1])
     if c.incomparable:
         raise IncomparableLassos("%s and %s are incomparable (u=%r, u'=%r)"
-                                 % (left[2], right[2], c.u, c.up))
+                                 % (lasso(*left[2:]), lasso(*right[2:]),
+                                    c.u, c.up))
     if case in (1, 4) and c.equivalent:
         keep, drop = sorted((p, q))  # equal plays or loops: smaller id
     else:
@@ -131,37 +134,9 @@ def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
         if out[0][0] not in a.alphabet:
             raise UnknownLetter("letter %r not in alphabet" % out[0][0])
         return out[0]
+    if p not in s.states or q not in s.states:
+        raise PreconditionViolated("unknown state")
     return _choose_merge(a, reachable_states(a), s.sigma, move, {}, {}, p, q)
-
-
-class _SharedPairs:
-    """The states over each vertex in sorted buckets, and a heap of each
-    bucket's two least states with its vertex.  The heap's top is the
-    least pair (p, q), p < q over one vertex: least p, then least q (a
-    bucket's least state is its only candidate for p)."""
-
-    def __init__(self, sigma: dict):
-        self._buckets = {}
-        for st in sorted(sigma):
-            self._buckets.setdefault(sigma[st], []).append(st)
-        self._heap = [(b[0], b[1], v) for v, b in self._buckets.items()
-                      if len(b) > 1]
-        heapq.heapify(self._heap)
-
-    def least(self):
-        """The least pair, or None when no vertex holds two states."""
-        return self._heap[0][:2] if self._heap else None
-
-    def remove(self, st) -> None:
-        """Take `st` out of the least pair's bucket.  Only that bucket
-        changes, so the heap never holds a stale entry."""
-        v = self._heap[0][2]
-        bucket = self._buckets[v]
-        bucket.remove(st)
-        if len(bucket) > 1:
-            heapq.heapreplace(self._heap, (bucket[0], bucket[1], v))
-        else:
-            heapq.heappop(self._heap)
 
 
 class _Working:
@@ -246,32 +221,36 @@ def reduce_to_positional(g: Game, s: Strategy, region) -> Strategy:
     if not _region_wins(work.sigma, region, step, q0, memo):
         raise PreconditionViolated(
             "strategy must win from every memory state over the region")
-    pairs = _SharedPairs(s.sigma)
-    while True:
-        pair = pairs.least()
-        if pair is None:
-            return work.strategy(s)
-        reaches = {}
-        plan = _choose_merge(a, access, work.sigma, move, memo, reaches,
-                             *pair)
-        keep, drop = plan.keep, plan.drop
-        before = len(work.sigma)
-        work.merge(plan)
-        if len(work.sigma) != before - 1:
-            raise AssertionError("merge did not remove exactly one state")
-        pairs.remove(drop)
-        # if the chooser's trace found that keep's play missed drop (a
-        # plan it did not trace re-walks the region), the merge left that
-        # play as it was, and a redirected move reaches (keep, q) where
-        # it reached (drop, q): if those verdicts agree, none changes
-        if reaches.get((keep, drop)) is False and all(
-                _walk((keep, q), step, memo) == memo[drop, q]
-                for q in range(n) if (drop, q) in memo):
-            for q in range(n):
-                memo.pop((drop, q), None)
-        else:
-            memo.clear()
-            if not _region_wins(work.sigma, region, step, q0, memo):
-                raise MergeBrokeWinning(
-                    "merging %r into %r (case %d) broke the strategy"
-                    % (drop, keep, plan.case))
+    buckets = {}  # vertex -> the states over it, sorted
+    order = sorted(s.sigma)
+    for st in order:
+        buckets.setdefault(s.sigma[st], []).append(st)
+    for p in order:
+        bucket = buckets[s.sigma[p]]
+        while len(bucket) > 1 and bucket[0] == p:
+            reaches = {}
+            plan = _choose_merge(a, access, work.sigma, move, memo, reaches,
+                                 p, bucket[1])
+            keep, drop = plan.keep, plan.drop
+            before = len(work.sigma)
+            work.merge(plan)
+            if len(work.sigma) != before - 1:
+                raise AssertionError("merge did not remove exactly one state")
+            bucket.remove(drop)
+            # if the chooser's trace found that keep's play missed drop
+            # (a plan it did not trace re-walks the region), the merge
+            # left that play as it was, and a redirected move reaches
+            # (keep, q) where it reached (drop, q): if those verdicts
+            # agree, none changes
+            if reaches.get((keep, drop)) is False and all(
+                    _walk((keep, q), step, memo) == memo[drop, q]
+                    for q in range(n) if (drop, q) in memo):
+                for q in range(n):
+                    memo.pop((drop, q), None)
+            else:
+                memo.clear()
+                if not _region_wins(work.sigma, region, step, q0, memo):
+                    raise MergeBrokeWinning(
+                        "merging %r into %r (case %d) broke the strategy"
+                        % (drop, keep, plan.case))
+    return work.strategy(s)

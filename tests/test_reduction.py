@@ -16,7 +16,7 @@ from posit import (Game, IncomparableLassos, InvalidPlan, InvalidStrategy,
                    parse_arena, random_arena, reduce_to_positional,
                    solve_game, verify_strategy)
 from posit.fixtures import DPA_NAMES, load_arena, load_dpa
-from posit.reduction import _SharedPairs, _Working
+from posit.reduction import _Working
 
 import oracles
 from oracles import (lasso_equal, member_from, merge, path_word,
@@ -194,6 +194,12 @@ class TestChooseMerge:
                          {"m1": "u", "m2": "center"})
         with pytest.raises(PreconditionViolated):
             choose_merge(other, dpa, "m1", "m2")
+        # sigma may name a state that the strategy does not hold
+        extra = Strategy(("m1",), [("m1", "a", "m1")], {"m1": "v", "m2": "v"})
+        with pytest.raises(PreconditionViolated, match="unknown state"):
+            choose_merge(extra, dpa, "m1", "m2")
+        with pytest.raises(PreconditionViolated, match="unknown state"):
+            choose_merge(extra, dpa, "m2", "m1")
 
     def test_branching_state_rejected(self):
         s = loop_strategy([("m1", "a", "m3"), ("m2", "b", "m2"),
@@ -250,8 +256,8 @@ def shuffled_names(s: Strategy, rng) -> Strategy:
 
 class TestLeastSharedPair:
     def test_matches_minimum_over_all_pairs(self):
-        # after building, and after each removal of a random state of the
-        # least pair, as the merge loop removes the dropped one
+        # the reference's pair, after each removal of a random state of
+        # the least pair, as a merge removes the dropped one
         rng = random.Random(0)
         found = removals = 0
         for name in ("ex3", "res", "infab"):
@@ -260,23 +266,48 @@ class TestLeastSharedPair:
                 arena = random_arena(8, 3, 0.5, a.alphabet, seed=seed)
                 s = shuffled_names(solve_game(Game(arena, a)).strategy, rng)
                 sigma = dict(s.sigma)
-                pairs = _SharedPairs(sigma)
                 found += ref_least_shared_pair(sigma) is not None
                 while True:
-                    pair = pairs.least()
+                    pair = ref_least_shared_pair(sigma)
                     brute = min(((p, q) for p in sigma for q in sigma
                                  if p < q and sigma[p] == sigma[q]),
                                 default=None)
-                    assert pair == brute == ref_least_shared_pair(sigma)
+                    assert pair == brute
                     if pair is None:
                         break
-                    drop = rng.choice(pair)
-                    pairs.remove(drop)
-                    del sigma[drop]
+                    del sigma[rng.choice(pair)]
                     removals += 1
         # both outcomes occur often enough for the comparison to bite
         assert 10 < found < 80
         assert removals > 100
+
+    def test_merge_loop_on_shuffled_names(self, monkeypatch):
+        # solve_game names states v@q, which sort by vertex; renamed at
+        # random, the states over one vertex spread over the sorted
+        # order.  Each pair the merge loop hands the chooser must be the
+        # least pair over one vertex among the states left, and each
+        # outcome must equal `ref_reduce`'s.
+        choose = reduction._choose_merge
+        pairs = Counter()
+
+        def chooser(a, access, sigma, move, memo, reaches, p, q):
+            assert (p, q) == ref_least_shared_pair(sigma)
+            pairs[name] += 1
+            return choose(a, access, sigma, move, memo, reaches, p, q)
+
+        monkeypatch.setattr(reduction, "_choose_merge", chooser)
+        rng = random.Random(1)
+        for name in DPA_NAMES:
+            dpa = load_dpa(name)
+            for seed in range(0, 200, 4):
+                game = Game(random_arena(seed % 60 + 2, 3, 1.0, dpa.alphabet,
+                                         seed), dpa)
+                solution = solve_game(game)
+                s = shuffled_names(solution.strategy, rng)
+                region = solution.winning_region
+                assert outcome(reduce_to_positional, game, s, region) \
+                    == outcome(ref_reduce, game, s, region)
+        assert pairs["ex3"] > 1000, pairs
 
 
 class TestReduce:
