@@ -12,7 +12,7 @@ from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
                      MalformedLasso, MergeBrokeWinning, MonoidTooLarge,
                      NotEveOnly, ParseError, PositError,
                      PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
-                     UnknownLetter, WitnessRecheckFailed)
+                     TooManyPriorities, UnknownLetter, WitnessRecheckFailed)
 from .gadgets import gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
@@ -33,7 +33,7 @@ __all__ = [
     "MergePlan", "MonoidTooLarge", "NotEveOnly", "ParseError", "PositError",
     "PositionalityVerdict", "PreconditionViolated", "PriorityMonoid",
     "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",
-    "UnknownLetter", "Witness1", "Witness2", "Witness3",
+    "TooManyPriorities", "UnknownLetter", "Witness1", "Witness2", "Witness3",
     "WitnessRecheckFailed", "check_positional", "check_property1",
     "check_property2", "check_property3", "choose_merge", "compare_lassos",
     "find_positional", "format_arena", "gadget_from_witness", "member",

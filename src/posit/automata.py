@@ -27,10 +27,16 @@ inclusion query explores what its pair reaches and no more.
 from collections import deque
 
 from .cycles import _walk, accepting_lasso_from, reachable_graph
-from .errors import ParseError, PreconditionViolated, UnknownLetter
+from .errors import (ParseError, PreconditionViolated, TooManyPriorities,
+                     UnknownLetter)
 from .words import Alphabet, LassoWord
 
 MAX_PRIORITY = 16
+# Zielonka's algorithm (`games._zielonka`) recurses once per distinct
+# priority, so an automaton may hold at most this many.  Files allow
+# MAX_PRIORITY + 1, and a complement, every priority shifted by one,
+# keeps the count.
+MAX_DISTINCT_PRIORITIES = 256
 
 # Reserved in state and vertex names: used to join product coordinates.
 RESERVED = "@"
@@ -68,6 +74,11 @@ class Dpa:
                     raise ParseError("transition target out of range")
                 if pri < 0:
                     raise ParseError("negative priority")
+        distinct = len({pri for row in self.delta for _tgt, pri in row.values()})
+        if distinct > MAX_DISTINCT_PRIORITIES:
+            raise TooManyPriorities(
+                "%d distinct priorities exceed the bound of %d"
+                % (distinct, MAX_DISTINCT_PRIORITIES))
 
     @property
     def n(self) -> int:

@@ -30,6 +30,11 @@ class MonoidTooLarge(PositError):
     """Word behavior closure exceeded the configured element cap."""
 
 
+class TooManyPriorities(PositError):
+    """An automaton has more distinct priorities than the game solver's
+    recursion allows."""
+
+
 class SinkVertex(PositError):
     """An arena vertex has no outgoing edge."""
 

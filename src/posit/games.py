@@ -12,21 +12,23 @@ arena with the automaton, a parity game (`product_game`).  Every
 (vertex, state) pair is one of its nodes, so it is numbered outright,
 node (v, q) as rank(v)·n + q, and stored as flat integer lists.
 Zielonka's algorithm solves it on node numbers (`_zielonka` over its
-edge-split form, which `ParityGame` also stores), and `solve_game`, the
-only entry to the solver, builds the play of the winning choice over
-the same numbers, naming memory states only at the end.  The second is
-a strategy's plays with the complement automaton, whose reachable
-accepting cycles are the plays the strategy loses (`_wins`, which
-`verify_strategy` and `find_positional` share).  When every play state
-has one move, as on an Eve-only arena, the linear walk `cycles._walk`
-decides it on `_one_move_step`, the step the merge loop of
-`reduction.reduce_to_positional` walks too, and no product is built;
+edge-split form, which `ParityGame` also stores), each region a
+`bytearray` mask over the split game's nodes that an attractor copies
+and clears, so the copy is the region left for the next level.
+`solve_game`, the only entry to the solver, builds the play of the
+winning choice over the same numbers, naming memory states only at the
+end.  The second is a strategy's plays with the complement automaton,
+whose reachable accepting cycles are the plays the strategy loses
+(`_wins`, which `verify_strategy` and `find_positional` share).  When
+every play state has one move, as on an Eve-only arena, the linear walk
+`cycles._walk` decides it on `_one_move_step`, the step the merge loop
+of `reduction.reduce_to_positional` walks too, and no product is built;
 otherwise the threshold/SCC sweep of
 `cycles.nodes_reaching_accepting_cycle` decides the built product.
 `cycles.reachable_graph` builds every play graph and that product.
 """
 
-from itertools import chain, count, product as iproduct, repeat
+from itertools import chain, compress, count, product as iproduct, repeat
 from operator import add, sub
 from math import prod
 import random
@@ -149,8 +151,9 @@ class ParityGame:
     is node N + j (N = `nodes`), carries the edge's priority and moves
     to its target; product nodes carry none.  `src` maps an edge node
     to the product node it leaves, `pred` lists the edge nodes entering
-    each product node in ascending order, and `nodes_at` holds the edge
-    nodes of each priority, with `priorities` ascending.
+    each product node in ascending order, and `nodes_at` lists the edge
+    nodes of each priority in ascending order, with `priorities`
+    ascending.
     """
 
     def __init__(self, names, n, owners, offsets, target, priority, letter):
@@ -167,15 +170,11 @@ class ParityGame:
         self.src += chain.from_iterable(
             map(repeat, range(nodes), map(sub, offsets[1:], offsets)))
         self.pred = pred = [[] for _ in range(nodes)]
-        self.nodes_at = nodes_at = {p: set() for p in set(priority)}
+        self.nodes_at = nodes_at = {p: [] for p in set(priority)}
         for e, dst, pri in zip(count(nodes), target, priority):
             pred[dst].append(e)
-            nodes_at[pri].add(e)
+            nodes_at[pri].append(e)
         self.priorities = sorted(nodes_at)
-
-    def node(self, i):
-        """The (vertex, state) pair numbered i."""
-        return self.names[i // self.n], i % self.n
 
 
 def product_game(g: Game) -> ParityGame:
@@ -203,9 +202,11 @@ def product_game(g: Game) -> ParityGame:
     return ParityGame(names, n, owners, offsets, target, priority, letter)
 
 
-def _attract(pg: ParityGame, region: set, target, player: str):
-    """Player's attractor to `target` (sorted) inside `region`, with the
-    chosen edge node of each newly attracted Eve product node.
+def _attract(pg: ParityGame, region: bytearray, target, player: str):
+    """Player's attractor to `target` (sorted) inside `region`, a mask
+    over the split game's nodes: (`region` less the attractor, as a new
+    mask; the attracted nodes; the chosen edge node of each newly
+    attracted Eve product node).
 
     This is the breadth-first attractor of the split game from queue
     `target`.  There a popped product node attracts edge nodes and a
@@ -214,82 +215,99 @@ def _attract(pg: ParityGame, region: set, target, player: str):
     each kind, not on how the two interleave.  So an edge node is
     handled as soon as it is attracted, which keeps the edge nodes in
     queue order, those of `target` first, before any product node pops.
+    A node is attracted by clearing it in the copy of `region`, so a
+    node left set there is in the region and not yet attracted.
     """
     nodes, src, owners, offsets = pg.nodes, pg.src, pg.owners, pg.offsets
+    rest = bytearray(region)
     queue = [v for v in target if v < nodes]
-    acc = set(queue)
-    attract, push = acc.add, queue.append
+    for v in queue:
+        rest[v] = 0
+    edges_won = []
+    attract, push = edges_won.append, queue.append
     choice = {}
-    counts = {}
+    # an opponent node's region edges not yet attracted, counted when
+    # the first is; 0 before that, as the count never stays at 0
+    counts = [0] * nodes
     for edges in chain([target[len(queue):]], map(pg.pred.__getitem__, queue)):
         for e in edges:
-            if e in acc or e not in region:
+            if not rest[e]:
                 continue
+            rest[e] = 0
             attract(e)
             i = src[e]
-            if i in acc or i not in region:
+            if not rest[i]:
                 continue
             if owners[i] == player:
                 if player == EVE:
                     choice[i] = e
             else:
-                left = counts.get(i)
-                if left is None:
-                    left = sum(map(region.__contains__,
-                                   range(nodes + offsets[i],
-                                         nodes + offsets[i + 1])))
+                left = counts[i] or region.count(1, nodes + offsets[i],
+                                                 nodes + offsets[i + 1])
                 counts[i] = left = left - 1
                 if left:
                     continue
-            attract(i)
+            rest[i] = 0
             push(i)
-    return acc, choice
+    queue += edges_won
+    return rest, queue, choice
 
 
-def _zielonka(pg: ParityGame, region: set):
+def _zielonka(pg: ParityGame, region: bytearray, size: int):
     """(eve nodes, adam nodes, chosen edge node per winning Eve product
-    node).
+    node) on `region`, a mask over the split game's nodes that holds
+    `size` of them.  The two node lists partition the region.
 
     Every product node has an edge, and each region here is the whole
     game or a region less an attractor, a trap in which every node keeps
     a successor.  So a nonempty region holds a cycle, and with it an
-    edge node: its least priority is an edge priority, and `target`
-    holds edge nodes only.  Recursion only descends below the least
-    priority of `region`, so its depth is at most the number of distinct
-    priorities; the opponent's dominions are peeled off in a loop.
+    edge node: its least priority is an edge priority, read off the
+    ascending `nodes_at` lists, and `target` holds edge nodes only.  An
+    edge node whose source was attracted while its target was not stays
+    in the region left, so its priority can be the next level's least;
+    dropping it would change the moves Eve picks.  Recursion only
+    descends below the least priority of `region`, so its depth is at
+    most the number of distinct priorities, which `Dpa` bounds; the
+    opponent's dominions are peeled off in a loop.
     """
-    won = {EVE: set(), ADAM: set()}
+    won = {EVE: [], ADAM: []}
     choice = {}
-    while region:
-        d = next(p for p in pg.priorities
-                 if not region.isdisjoint(pg.nodes_at[p]))
+    while size:
+        for d in pg.priorities:
+            at = pg.nodes_at[d]
+            target = list(compress(at, map(region.__getitem__, at)))
+            if target:
+                break
         player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
-        target = sorted(region.intersection(pg.nodes_at[d]))
-        area, achoice = _attract(pg, region, target, player)
-        we, wa, inner = _zielonka(pg, region - area)
+        rest, area, achoice = _attract(pg, region, target, player)
+        we, wa, inner = _zielonka(pg, rest, size - len(area))
         wopp = wa if player == EVE else we
         if not wopp:
             choice.update(inner)
             choice.update(achoice)
-            won[player] |= region
+            won[player] += compress(range(len(region)), region)
             break
-        barrier, bchoice = _attract(pg, region, sorted(wopp), other)
-        if other == EVE:
-            choice.update((v, e) for v, e in inner.items() if v in wopp)
+        region, barrier, bchoice = _attract(pg, region, sorted(wopp), other)
+        if other == EVE:  # inner chooses only in its Eve region, wopp
+            choice.update(inner)
         choice.update(bchoice)
-        won[other] |= barrier
-        region = region - barrier
+        won[other] += barrier
+        size -= len(barrier)
     return won[EVE], won[ADAM], choice
 
 
 def _solve(pg: ParityGame):
     """(Eve's winning product nodes, the edge index each Eve node of
-    them plays)."""
+    them plays).  Raises unless every split-game node is in exactly one
+    winning region."""
     total = pg.nodes + len(pg.target)
-    eve, adam, choice = _zielonka(pg, set(range(total)))
-    if len(eve) + len(adam) != total:
+    eve, adam, choice = _zielonka(pg, bytearray(b"\1") * total, total)
+    seen = bytearray(total)
+    for v in chain(eve, adam):
+        seen[v] = 1
+    if len(eve) + len(adam) != total or 0 in seen:
         raise AssertionError("winning regions do not partition the game")
-    return (eve.intersection(range(pg.nodes)),
+    return ({v for v in eve if v < pg.nodes},
             {i: e - pg.nodes for i, e in choice.items()})
 
 

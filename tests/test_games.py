@@ -5,13 +5,15 @@ import sys
 
 import pytest
 
-from posit import (ADAM, EVE, AlphabetMismatch, Arena, Game, InvalidStrategy,
-                   ParseError, PreconditionViolated, SearchSpaceTooLarge,
-                   SinkVertex, Strategy, UnknownLetter, check_positional,
+from posit import (ADAM, EVE, Alphabet, AlphabetMismatch, Arena, Dpa, Game,
+                   InvalidStrategy, ParseError, PreconditionViolated,
+                   SearchSpaceTooLarge, SinkVertex, Strategy,
+                   TooManyPriorities, UnknownLetter, check_positional,
                    find_positional, format_arena, gadget_from_witness,
                    parse_arena, random_arena, solve_game, validate_strategy,
                    verify_strategy)
 from posit import games
+from posit.automata import MAX_DISTINCT_PRIORITIES
 from posit.cycles import nodes_reaching_accepting_cycle, reachable_graph
 from posit.games import product_game
 from posit.fixtures import ARENA_NAMES, DPA_NAMES, load_arena, load_dpa
@@ -111,15 +113,20 @@ class TestParseArena:
             Game(load_arena("twoloops"), load_dpa("rabin"))
 
 
+def node(pg, i):
+    """The (vertex, state) pair that product node i of `pg` numbers."""
+    return pg.names[i // pg.n], i % pg.n
+
+
 def solve_keyed(pg):
     """`games._solve` on `pg`, keyed by (vertex, state) like the
     reference: Eve's region, Adam's region, and the edge index of each
     Eve node in Eve's region."""
     eve, choice = games._solve(pg)
     return oracles.SolveResult(
-        {pg.node(i) for i in eve},
-        {pg.node(i) for i in range(pg.nodes) if i not in eve},
-        {pg.node(i): choice[i] - pg.offsets[i] for i in eve
+        {node(pg, i) for i in eve},
+        {node(pg, i) for i in range(pg.nodes) if i not in eve},
+        {node(pg, i): choice[i] - pg.offsets[i] for i in eve
          if pg.owners[i] == EVE})
 
 
@@ -159,10 +166,10 @@ class TestSolveParity:
         pg = product_game(Game(arena, dpa))
         res = solve_keyed(pg)
         nodes = range(len(pg.owners))
-        brute_owners = {pg.node(i): pg.owners[i] for i in nodes}
-        brute_edges = {pg.node(i): [(pg.node(pg.target[j]), pg.priority[j])
-                                    for j in range(pg.offsets[i],
-                                                   pg.offsets[i + 1])]
+        brute_owners = {node(pg, i): pg.owners[i] for i in nodes}
+        brute_edges = {node(pg, i): [(node(pg, pg.target[j]), pg.priority[j])
+                                     for j in range(pg.offsets[i],
+                                                    pg.offsets[i + 1])]
                        for i in nodes}
         assert res.eve_region == brute_eve_region(brute_owners, brute_edges)
 
@@ -193,6 +200,14 @@ class TestSolveMatchesReference:
         for game in fixture_games():
             self.solved(game)
 
+    @pytest.mark.parametrize("condition", DPA_NAMES)
+    def test_mixed_arenas_of_200_to_500_vertices(self, condition):
+        dpa = load_dpa(condition)
+        for seed in range(6):
+            arena = random_arena(200 + 60 * seed, 3, (0.3, 0.5, 0.7)[seed % 3],
+                                 dpa.alphabet, seed)
+            self.solved(Game(arena, dpa))
+
     def test_every_region_holds_an_edge_node(self, monkeypatch):
         """Zielonka's least priority is always an edge priority: every
         nonempty region it is called on holds an edge node, numbered at
@@ -200,18 +215,62 @@ class TestSolveMatchesReference:
         zielonka = games._zielonka
         calls = Counter()
 
-        def recording(pg, region):
-            calls["nonempty" if region else "empty"] += 1
-            assert not region or max(region) >= pg.nodes
-            return zielonka(pg, region)
+        def recording(pg, region, size):
+            assert size == region.count(1)
+            calls["nonempty" if size else "empty"] += 1
+            assert not size or 1 in region[pg.nodes:]
+            return zielonka(pg, region, size)
 
         monkeypatch.setattr(games, "_zielonka", recording)
         for game in chain(random_games(), fixture_games()):
             games._solve(product_game(game))
         assert calls["nonempty"] > 1040 and calls["empty"]
 
+    def test_partition_check_catches_a_node_listed_twice(self, monkeypatch):
+        """Region sizes that add up do not make a partition: one node
+        listed twice and another missing must raise."""
+        zielonka = games._zielonka
+
+        def broken(pg, region, size):
+            eve, adam, choice = zielonka(pg, region, size)
+            if size == pg.nodes + len(pg.target):  # the outermost call
+                listed = eve + adam
+                twice, missing = listed[0], listed[-1]
+                eve = [v for v in eve if v != missing] + [twice]
+                adam = [v for v in adam if v != missing]
+            return eve, adam, choice
+
+        monkeypatch.setattr(games, "_zielonka", broken)
+        pg = product_game(Game(load_arena("w2game"), load_dpa("w2")))
+        with pytest.raises(AssertionError, match="do not partition"):
+            games._solve(pg)
+
+
+def self_loops(k):
+    """An automaton over {a} whose state q loops with priority 2q, so
+    that Zielonka's algorithm descends through all k priorities."""
+    return Dpa(Alphabet("a"), [str(q) for q in range(k)], 0,
+               [{"a": (q, 2 * q)} for q in range(k)])
+
 
 class TestSolveGame:
+    @pytest.mark.parametrize("k", [MAX_DISTINCT_PRIORITIES + 1, 1200])
+    def test_too_many_priorities_fail_fast(self, k):
+        with pytest.raises(TooManyPriorities,
+                           match="^%d distinct priorities" % k):
+            self_loops(k)
+
+    def test_solves_at_the_priority_bound(self):
+        dpa = self_loops(MAX_DISTINCT_PRIORITIES)
+        arena = parse_arena("arena v1\nalphabet a\nvertex v E\nedge v a v\n")
+        game = Game(arena, dpa)
+        solution = solve_game(game)
+        assert solution.winning_region == {"v"}
+        assert verify_strategy(game, solution.strategy, solution.start_states)
+        # the complement, every priority shifted by one, is within the bound
+        lost = solve_game(Game(arena, complement_shift(dpa)))
+        assert lost.winning_region == set()
+
     def test_w2game_region_and_memory(self):
         game = Game(load_arena("w2game"), load_dpa("w2"))
         solution = solve_game(game)
