@@ -12,13 +12,11 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from .automata import member, parse_dpa, residual_included
 from .errors import (IncomparableLassos, InvalidSetting, InvalidWitness,
                      MergeBrokeWinning, NotEveOnly, ParseError, PositError,
                      PreconditionViolated, WitnessRecheckFailed)
-from .fixtures import data_dir, fixture_path
 from .gadgets import certify
 from .games import (Game, format_arena, parse_arena, random_arena, solve_game,
                     verify_strategy)
@@ -33,7 +31,8 @@ _DOMAIN_ERRORS = (NotEveOnly, IncomparableLassos, MergeBrokeWinning,
 
 def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not UTF-8 text (%s)" % (path, exc)) from None
     # a leading byte-order mark is not part of the text
@@ -98,7 +97,7 @@ def cmd_include(args) -> int:
     if witness is None:
         print("yes")
         return 0
-    print("no: witness %s" % witness)
+    print("no: witness %s" % (witness,))
     return 1
 
 
@@ -143,7 +142,8 @@ def cmd_gadget(args) -> int:
     witness = witness_from_dict(payload, a.alphabet)
     arena, starts, eve_wins, positional = certify(a, witness)
     if args.arena_out:
-        Path(args.arena_out).write_text(format_arena(arena), encoding="utf-8")
+        with open(args.arena_out, "w", encoding="utf-8") as f:
+            f.write(format_arena(arena))
     certified = eve_wins and not positional
     print("start: %s" % ",".join(starts))
     print("eve wins: %s" % ("true" if eve_wins else "false"))
@@ -207,6 +207,9 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    # imported here: no other command needs the loader, which pulls in
+    # importlib.resources, tempfile and shutil
+    from .fixtures import data_dir, fixture_path
     if args.name:
         print(fixture_path(args.name))
     else:

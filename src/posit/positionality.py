@@ -18,9 +18,9 @@ check that reads it.
 
 import os
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product as iproduct
+from typing import NamedTuple
 
 from .automata import (Dpa, _lasso_mask, member, reachable_states,
                        residual_graph)
@@ -133,8 +133,7 @@ def _omega_mask(key: tuple, base: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class Witness1:
+class Witness1(NamedTuple):
     """Incomparable residuals: u w and u' w' are accepted, u w' and u' w
     are not."""
 
@@ -148,8 +147,7 @@ class Witness1:
                 "w": str(self.w), "wp": str(self.wp)}
 
 
-@dataclass(frozen=True)
-class Witness2:
+class Witness2(NamedTuple):
     """u v w is accepted while both u v^omega and u w are rejected."""
 
     u: str
@@ -160,8 +158,7 @@ class Witness2:
         return {"property": 2, "u": self.u, "v": self.v, "w": str(self.w)}
 
 
-@dataclass(frozen=True)
-class Witness3:
+class Witness3(NamedTuple):
     """u (v v')^omega is accepted while u v^omega and u v'^omega are
     rejected."""
 
@@ -204,14 +201,12 @@ def witness_from_dict(d: dict, alphabet: Alphabet):
     raise InvalidWitness("unknown property %r" % (prop,))
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     passed: bool
     witness: object = None
 
 
-@dataclass(frozen=True)
-class PositionalityVerdict:
+class PositionalityVerdict(NamedTuple):
     positional: bool
     failed_property: int | None = None
     witness: object = None
@@ -400,8 +395,7 @@ def check_positional(a: Dpa) -> PositionalityVerdict:
     return PositionalityVerdict(True)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """Inclusion of two lassos under every reachable prefix.
 
     left_leq means: every prefix u accepting u w also accepts u w'.
@@ -438,8 +432,7 @@ def compare_lassos(a: Dpa, w: LassoWord, wp: LassoWord) -> Comparison:
                     _lasso_mask(a, wp))
 
 
-@dataclass(frozen=True)
-class OrderLawReport:
+class OrderLawReport(NamedTuple):
     samples: int
     violations: tuple
 

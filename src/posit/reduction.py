@@ -35,7 +35,7 @@ below p ever gains a partner.  The result is built once, in the input's
 order, so it equals a fresh merge and `verify_strategy` after every step.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import Dpa, _lasso_mask, reachable_states
 from .cycles import _walk
@@ -48,8 +48,7 @@ from .positionality import _compare
 from .words import LassoWord
 
 
-@dataclass(frozen=True)
-class MergePlan:
+class MergePlan(NamedTuple):
     """Redirect every edge into `drop` towards `keep` and delete `drop`."""
 
     keep: str

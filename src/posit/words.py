@@ -5,7 +5,7 @@ Infinite words are restricted to lassos ``prefix . period^omega``, written
 in text as ``prefix:period``; the period must be nonempty.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedLasso, ParseError, UnknownLetter
 
@@ -56,16 +56,21 @@ class Alphabet:
         return word
 
 
-@dataclass(frozen=True)
-class LassoWord:
-    """Ultimately periodic word prefix . period^omega."""
-
+class _Lasso(NamedTuple):
     prefix: str
     period: str
 
-    def __post_init__(self):
-        if not self.period:
-            raise MalformedLasso("empty period in lasso %r:%r" % (self.prefix, self.period))
+
+class LassoWord(_Lasso):
+    """Ultimately periodic word prefix . period^omega."""
+
+    __slots__ = ()
+
+    # a NamedTuple body may not define __new__, so the check lives here
+    def __new__(cls, prefix: str, period: str):
+        if not period:
+            raise MalformedLasso("empty period in lasso %r:%r" % (prefix, period))
+        return super().__new__(cls, prefix, period)
 
     def __str__(self):
         return "%s:%s" % (self.prefix, self.period)

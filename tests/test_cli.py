@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,6 +329,34 @@ class TestFixturesCommand:
         with pytest.raises(PositError,
                            match="^unknown %s fixture '%s'$" % (kind, name)):
             load(name)
+
+
+class TestStartUp:
+    """A fresh `posit` process imports only what every command needs."""
+
+    @staticmethod
+    def python(*args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        # -S: no site-packages, so only the standard library and src load
+        return subprocess.run([sys.executable, "-S", *args], env=env,
+                              capture_output=True, encoding="utf-8", check=True)
+
+    def test_import_skips_dataclasses_and_fixture_loader(self):
+        out = self.python("-c", "import sys, posit.cli; print(*sorted("
+                          "m for m in sys.modules if m.startswith("
+                          "('dataclasses', 'posit'))))").stdout.split()
+        assert "dataclasses" not in out
+        assert "posit.fixtures" not in out
+        # every module a command other than `fixtures` runs is loaded
+        # up front, so no command pays for an import on its first call
+        for module in ("automata", "cycles", "errors", "gadgets", "games",
+                       "positionality", "reduction", "words"):
+            assert "posit." + module in out
+
+    def test_fixtures_command_loads_its_module(self):
+        out = self.python("-m", "posit", "fixtures", "ex3").stdout
+        assert out.endswith("ex3.dpa\n")
 
 
 class TestParserReuse:
