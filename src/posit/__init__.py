@@ -23,7 +23,7 @@ from .positionality import (Comparison, PositionalityVerdict,
                             check_property1, check_property2,
                             check_property3, compare_lassos,
                             verify_order_laws, witness_from_dict)
-from .reduction import MergePlan, choose_merge, reduce_to_positional
+from .reduction import MergePlan, reduce_to_positional
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",
     "TooManyPriorities", "UnknownLetter", "Witness1", "Witness2", "Witness3",
     "WitnessRecheckFailed", "check_positional", "check_property1",
-    "check_property2", "check_property3", "choose_merge", "compare_lassos",
+    "check_property2", "check_property3", "compare_lassos",
     "find_positional", "format_arena", "gadget_from_witness", "member",
     "parse_arena", "parse_dpa", "parse_lasso", "prepend", "random_arena",
     "reachable_states", "reduce_to_positional",

@@ -137,7 +137,7 @@ def cmd_gadget(args) -> int:
     a = _load_dpa(args.dpa)
     try:
         payload = json.loads(args.witness)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidWitness("witness is not JSON: %s" % exc) from None
     witness = witness_from_dict(payload, a.alphabet)
     arena, starts, eve_wins, positional = certify(a, witness)

@@ -22,12 +22,11 @@ class AlphabetMismatch(PositError):
 
 
 class InvalidSetting(PositError):
-    """An environment variable or option holds a value the package cannot
-    use."""
+    """A command-line option holds a value the package cannot use."""
 
 
 class MonoidTooLarge(PositError):
-    """Word behavior closure exceeded the configured element cap."""
+    """Word behavior closure exceeded the element cap, MONOID_CAP."""
 
 
 class TooManyPriorities(PositError):

@@ -16,7 +16,6 @@ over finitely many monoid elements instead of all words.
 check that reads it.
 """
 
-import os
 import random
 from functools import cached_property
 from itertools import combinations, product as iproduct
@@ -26,32 +25,11 @@ from .automata import (Dpa, _lasso_mask, member, reachable_states,
                        residual_graph)
 from .cycles import (_walk, accepting_lasso_from,
                      nodes_reaching_accepting_cycle)
-from .errors import (InvalidSetting, InvalidWitness, MonoidTooLarge,
-                     PreconditionViolated, WitnessRecheckFailed)
+from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
+                     WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
-DEFAULT_MONOID_CAP = 100_000
-
-
-def monoid_cap() -> int:
-    """POSIT_MONOID_CAP, or DEFAULT_MONOID_CAP when it is unset.  Only
-    ASCII digits are read, as in files: int() would also take '1_000',
-    ' 7' and the digits of other scripts."""
-    text = os.environ.get("POSIT_MONOID_CAP")
-    if text is None:
-        return DEFAULT_MONOID_CAP
-    if text.isascii() and text.removeprefix("-").isdigit():
-        try:
-            cap = int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-        else:
-            if cap < 1:
-                raise InvalidSetting(
-                    "POSIT_MONOID_CAP must be at least 1, not %d" % cap)
-            return cap
-    raise InvalidSetting("POSIT_MONOID_CAP must be an integer, not %r"
-                         % text)
+MONOID_CAP = 100_000  # most elements PriorityMonoid generates
 
 
 class PriorityMonoid:
@@ -66,7 +44,7 @@ class PriorityMonoid:
     """
 
     def __init__(self, a: Dpa):
-        cap = monoid_cap()
+        cap = MONOID_CAP
         self.letters = a.alphabet.letters
         n = a.n
         # Each element is a tuple of n codes: code t * base + g stands for

@@ -8,7 +8,7 @@ the condition; for positional conditions this never breaks winning, and
 repeating it reaches memory one.
 
 The preorder compares lassos by the reachable automaton states that
-accept them, so `choose_merge` reads each future as a bit mask over
+accept them, so `_choose_merge` reads each future as a bit mask over
 those states and hands both to `positionality._compare`, the one
 implementation of the preorder: a play's mask from `cycles._walk`
 verdicts in the merge loop's memo, a loop v^omega's from
@@ -40,8 +40,7 @@ from typing import NamedTuple
 from .automata import Dpa, _lasso_mask, reachable_states
 from .cycles import _walk
 from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
-                     MergeBrokeWinning, NotEveOnly, PreconditionViolated,
-                     UnknownLetter)
+                     MergeBrokeWinning, NotEveOnly, PreconditionViolated)
 from .games import (Game, Strategy, _check_starts, _one_move_step,
                     validate_strategy)
 from .positionality import _compare
@@ -74,11 +73,15 @@ def _trace(move, frm, to):
 
 def _choose_merge(a: Dpa, access, sigma, move, memo, reaches, p,
                   q) -> MergePlan:
-    """`choose_merge` over the single moves `move(st) -> (letter, dst)`
-    and the reachable automaton states `access`, reading and filling
-    `memo`, a `cycles._walk` memo valid for `move`.  Each trace from st
-    towards the other state sets `reaches[st, other]` to whether it
-    reaches it."""
+    """Decide which of two states p, q over one vertex survives a merge.
+
+    Compares the futures the single moves `move(st) -> (letter, dst)`
+    produce: the state whose future is at least as good in the lasso
+    preorder, read over the reachable automaton states `access`, is
+    kept, with ties broken towards the smaller state id.  Reads and
+    fills `memo`, a `cycles._walk` memo valid for `move`.  Each trace
+    from st towards the other state sets `reaches[st, other]` to whether
+    it reaches it."""
     if p not in sigma or q not in sigma:
         raise PreconditionViolated("unknown state")
     if p == q or sigma[p] != sigma[q]:
@@ -116,26 +119,6 @@ def _choose_merge(a: Dpa, access, sigma, move, memo, reaches, p,
         # the right side's state survives unless the left is strictly better
         keep, drop = (right[0], left[0]) if c.left_leq else (left[0], right[0])
     return MergePlan(keep, drop, case)
-
-
-def choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
-    """Decide which of two states over one vertex survives a merge.
-
-    Compares the futures the strategy produces: the state whose future
-    is at least as good in the lasso preorder is kept, with ties broken
-    towards the smaller state id.
-    """
-    def move(st):
-        out = s.out_edges(st)
-        if len(out) != 1:
-            raise NotEveOnly("state %r has %d moves, expected exactly one"
-                             % (st, len(out)))
-        if out[0][0] not in a.alphabet:
-            raise UnknownLetter("letter %r not in alphabet" % out[0][0])
-        return out[0]
-    if p not in s.states or q not in s.states:
-        raise PreconditionViolated("unknown state")
-    return _choose_merge(a, reachable_states(a), s.sigma, move, {}, {}, p, q)
 
 
 class _Working:

@@ -919,8 +919,9 @@ def ref_compare_lassos(a: Dpa, w: LassoWord, wp: LassoWord) -> Comparison:
 
 
 def ref_choose_merge(s: Strategy, a: Dpa, p, q) -> MergePlan:
-    """`choose_merge` on strings: spell the lassos out with `path_word`
-    and `unique_path_lasso`, and compare them with `ref_compare_lassos`."""
+    """`reduction._choose_merge` on strings: spell the lassos out with
+    `path_word` and `unique_path_lasso`, and compare them with
+    `ref_compare_lassos`."""
     if p not in s.sigma or q not in s.sigma:
         raise PreconditionViolated("unknown state")
     if p == q or s.sigma[p] != s.sigma[q]:

@@ -234,11 +234,17 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("error: witness is not JSON: ")
 
-    def test_monoid_cap_not_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("POSIT_MONOID_CAP", "lots")
-        rc, _, err = run(capsys, "check", fixture_path("w2"))
-        assert (rc, err) == (
-            2, "error: POSIT_MONOID_CAP must be an integer, not 'lots'\n")
+    def test_witness_nested_too_deep(self, capsys):
+        # the JSON decoder recurses once per bracket
+        rc, out, err = run(capsys, "gadget", fixture_path("w2"),
+                           "[" * 100_000)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: witness is not JSON: ")
+
+    def test_monoid_too_large_is_a_resource_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(positionality, "MONOID_CAP", 3)
+        assert run(capsys, "check", fixture_path("w2")) == (
+            2, "", "error: priority monoid exceeds 3 elements\n")
 
     def test_alphabet_mismatch(self, capsys):
         rc, _, err = run(capsys, "solve", fixture_path("rabin"),

@@ -271,6 +271,25 @@ class TestSolveGame:
         lost = solve_game(Game(arena, complement_shift(dpa)))
         assert lost.winning_region == set()
 
+    def test_strategy_leaving_the_region_is_caught(self, monkeypatch):
+        # Eve wins at e by looping on a; her b edge leads to l, where
+        # Adam loops on b forever
+        game = Game(parse_arena("arena v1\nalphabet a b\nvertex e E\n"
+                                "vertex l A\nedge e a e\nedge e b l\n"
+                                "edge l b l\n"), load_dpa("buchi_a"))
+        assert solve_game(game).winning_region == {"e"}
+        solve = games._solve
+
+        def leaving(pg):
+            eve, choice = solve(pg)
+            assert eve == {0} and pg.target[1] == 1  # (e, 0) -b-> (l, 0)
+            choice[0] = 1
+            return eve, choice
+
+        monkeypatch.setattr(games, "_solve", leaving)
+        with pytest.raises(AssertionError, match="leaves Eve's region"):
+            solve_game(game)
+
     def test_w2game_region_and_memory(self):
         game = Game(load_arena("w2game"), load_dpa("w2"))
         solution = solve_game(game)
