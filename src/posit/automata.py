@@ -15,7 +15,8 @@ MAX_PRIORITY in files.
 
 Membership of a lasso word is decided by `cycles._walk`, the evaluator
 of strategy plays and monoid omega-powers too, on the (letter position,
-state) nodes of the run, with complement priorities (shifted by one).
+state) nodes of the run, stepped by `_one_move_step` with the
+automaton's own priorities.
 
 Residual inclusion is read off one graph, the product of an automaton
 with its complement (`residual_graph`): L(p) is not included in L(q)
@@ -219,22 +220,30 @@ def parse_dpa(text: str) -> Dpa:
     return Dpa(alphabet, names, ids[initial_tok], delta)
 
 
+def _one_move_step(a: Dpa, move):
+    """`_walk`'s step on the product of `a` with a graph whose node x has
+    the single move `move(x) -> (letter, y)`: node (x, q) moves to (y,
+    the target of q on letter) with that transition's priority."""
+    delta = a.delta
+
+    def step(node):
+        letter, dst = move(node[0])
+        q2, pri = delta[node[1]][letter]
+        return (dst, q2), pri
+    return step
+
+
 def _lasso_step(a: Dpa, w: LassoWord):
-    """`_walk`'s step on the (letter position, state) nodes of the lasso
-    w, position i reading letter i of its prefix then period, with the
-    complement priority.  The first letter outside the alphabet, prefix
-    first, raises UnknownLetter."""
+    """`_one_move_step` on the letter positions of the lasso w, position
+    i reading letter i of its prefix then period.  The first letter
+    outside the alphabet, prefix first, raises UnknownLetter."""
     word, loop = w.prefix + w.period, len(w.prefix)
     for c in word:
         if c not in a.alphabet:
             raise UnknownLetter("letter %r not in alphabet" % c)
-    delta, last = a.delta, len(word) - 1
-
-    def step(node):
-        i, q = node
-        t, pri = delta[q][word[i]]
-        return (i + 1 if i < last else loop, t), pri + 1
-    return step
+    moves = [(c, i) for i, c in enumerate(word, 1)]
+    moves[-1] = (word[-1], loop)
+    return _one_move_step(a, moves.__getitem__)
 
 
 def member(a: Dpa, w: LassoWord) -> bool:
@@ -265,7 +274,8 @@ def residual_graph(a: Dpa, roots):
         for c in a.alphabet:
             t1, pri1 = row1[c]
             t2, pri2 = row2[c]
-            # the complement's priority, shifted by one, second
+            # the sweep finds only even-minimum cycles, so the second
+            # coordinate, which must reject, is the complement's priority
             edges.append((c, (t1, t2), (pri1, pri2 + 1)))
         return edges
 

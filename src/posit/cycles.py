@@ -17,9 +17,10 @@ accepting in every coordinate.  `nodes_reaching_accepting_cycle` takes
 every such component of a graph and closes them backwards;
 `accepting_lasso_from` takes the first one of the part of the graph a
 node reaches and spells a lasso through it.  The linear walk
-`_walk`, for graphs in which every node has one move, follows the unique
-lasso from a node: it decides strategy plays, the priority monoid's
-omega-powers and lasso words (`automata.member` and `_lasso_mask`).
+`_walk`, for graphs in which every node has one move, accepts the unique
+lasso from a node iff its cycle's least priority is even, as the sweep
+does: it decides strategy plays, the priority monoid's omega-powers and
+lasso words (`automata.member` and `_lasso_mask`).
 """
 
 from collections import deque
@@ -238,9 +239,8 @@ def nodes_reaching_accepting_cycle(graph):
 
 
 def _walk(node, step, memo) -> bool:
-    """Is the least priority odd on the cycle that `node` reaches, where
-    every node has one move `step(node) -> (next node, priority)`?  With
-    complement priorities (shifted by one), True means accepted.
+    """Is the least priority even on the cycle that `node` reaches, where
+    every node has one move `step(node) -> (next node, priority)`?
 
     The walk follows single moves until it meets a node of `memo` or
     closes a cycle on its own path.  Every node of the path enters `memo`
@@ -254,7 +254,7 @@ def _walk(node, step, memo) -> bool:
         pris.append(pri)
     verdict = memo[node]
     if verdict is None:
-        verdict = min(pris[path.index(node):]) % 2 == 1
+        verdict = min(pris[path.index(node):]) % 2 == 0
     for v in path:
         memo[v] = verdict
     return verdict

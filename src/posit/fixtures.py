@@ -1,6 +1,7 @@
 """Bundled example automata and arenas used by tests and the CLI."""
 
-from importlib.resources import as_file, files
+from importlib.resources import files
+from os import PathLike
 
 from .automata import Dpa, parse_dpa
 from .errors import PositError
@@ -10,9 +11,16 @@ DPA_NAMES = ("buchi_a", "fin_a", "onea", "infab", "rabin", "w2", "res", "ex3")
 ARENA_NAMES = ("w2game", "twoloops")
 
 
+def _path(resource) -> str:
+    """The path of a bundled resource; PositError inside an archive."""
+    if not isinstance(resource, PathLike):
+        raise PositError("%s is inside an archive: bundled files have no "
+                         "path" % resource)
+    return str(resource)
+
+
 def data_dir() -> str:
-    with as_file(files("posit") / "data") as path:
-        return str(path)
+    return _path(files("posit") / "data")
 
 
 def _data_file(name: str, names, kind: str):
@@ -24,8 +32,7 @@ def _data_file(name: str, names, kind: str):
 
 
 def fixture_path(name: str) -> str:
-    with as_file(_data_file(name, DPA_NAMES + ARENA_NAMES, "fixture")) as path:
-        return str(path)
+    return _path(_data_file(name, DPA_NAMES + ARENA_NAMES, "fixture"))
 
 
 def load_dpa(name: str) -> Dpa:

@@ -19,12 +19,12 @@ and clears, so the copy is the region left for the next level.
 winning choice over the same numbers, naming memory states only at the
 end.  The second is a strategy's plays with the complement automaton,
 whose reachable accepting cycles are the plays the strategy loses
-(`_wins`, which `verify_strategy` and `find_positional` share).  When
-every play state has one move, as on an Eve-only arena, the linear walk
-`cycles._walk` decides it on `_one_move_step`, the step the merge loop
-of `reduction.reduce_to_positional` walks too, and no product is built;
-otherwise the threshold/SCC sweep of
-`cycles.nodes_reaching_accepting_cycle` decides the built product.
+(`_wins`, which `verify_strategy` and `find_positional` share).  It is
+built only for branching plays, where the threshold/SCC sweep of
+`cycles.nodes_reaching_accepting_cycle` decides it.  When every play
+state has one move, as on an Eve-only arena, `cycles._walk` walks the
+plays on the automaton itself, stepping with `automata._one_move_step`
+as the merge loop of `reduction.reduce_to_positional` does.
 `cycles.reachable_graph` builds every play graph and that product.
 """
 
@@ -33,7 +33,7 @@ from operator import add, sub
 from math import prod
 import random
 
-from .automata import RESERVED, Dpa, _directives
+from .automata import RESERVED, Dpa, _directives, _one_move_step
 from .cycles import _walk, nodes_reaching_accepting_cycle, reachable_graph
 from .errors import (AlphabetMismatch, InvalidStrategy, ParseError,
                      PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
@@ -422,29 +422,15 @@ def solve_game(g: Game) -> GameSolution:
                         [label[i] for i in starts])
 
 
-def _one_move_step(a: Dpa, move):
-    """`_walk`'s step on the play × complement graph, for the condition
-    `a`, of a strategy whose state st has the single move
-    `move(st) -> (letter, dst)`."""
-    delta = a.delta
-
-    def step(node):
-        letter, dst = move(node[0])
-        q2, pri = delta[node[1]][letter]
-        return (dst, q2), pri + 1  # the complement's priority
-    return step
-
-
 def _wins(g: Game, plays, starts) -> bool:
     """Is every play from `starts` won by Eve?  `plays` is the play
     graph `reachable_graph(starts, moves)`: each state the starts reach,
     mapped to its (letter, dst) moves.
 
-    The plays lose iff an even-minimum cycle of their product with the
-    complement is reachable from a start.  When every reached state has
-    one move, each start walks into exactly one cycle of that product,
-    and `_walk` decides them all on `_one_move_step`, with no product
-    built.  Otherwise the threshold/SCC sweep runs on the product.
+    When every reached state has one move, `_walk` decides each start's
+    play on `automata._one_move_step`, with no product built.  Otherwise
+    the plays lose iff the threshold/SCC sweep finds an even-minimum
+    cycle of their product with the complement reachable from a start.
     """
     a = g.condition
     roots = [(st, a.initial) for st in starts]
@@ -454,7 +440,9 @@ def _wins(g: Game, plays, starts) -> bool:
         return all(_walk(root, step, memo) for root in roots)
     delta = a.delta
 
-    def moves(node):  # with the complement's priorities, shifted by one
+    # the sweep finds only even-minimum cycles and a lost play's is odd,
+    # so the product carries the complement's priority, shifted by one
+    def moves(node):
         row = delta[node[1]]
         return [(c, (dst, row[c][0]), (row[c][1] + 1,))
                 for c, dst in plays[node[0]]]

@@ -17,9 +17,9 @@ check that reads it.
 """
 
 import random
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product as iproduct
-from typing import NamedTuple
 
 from .automata import (Dpa, _lasso_mask, member, reachable_states,
                        residual_graph)
@@ -102,7 +102,7 @@ class PriorityMonoid:
 def _omega_mask(key: tuple, base: int) -> int:
     """Bit p set iff the omega-power of the element `key` is accepted
     from p: the least priority on the cycle p falls into is even."""
-    step = [(code // base, code % base + 1) for code in key].__getitem__
+    step = [(code // base, code % base) for code in key].__getitem__
     memo = {}
     mask = 0
     for p in range(len(key)):
@@ -111,41 +111,38 @@ def _omega_mask(key: tuple, base: int) -> int:
     return mask
 
 
-class Witness1(NamedTuple):
+class _Witness:
+    """A witness refuting property `number`: its fields in order, as
+    strings, after the number."""
+
+    __slots__ = ()
+
+    def as_dict(self):
+        return {"property": self.number,
+                **{key: str(val) for key, val in zip(self._fields, self)}}
+
+
+class Witness1(_Witness, namedtuple("Witness1", "u up w wp")):
     """Incomparable residuals: u w and u' w' are accepted, u w' and u' w
     are not."""
 
-    u: str
-    up: str
-    w: LassoWord
-    wp: LassoWord
-
-    def as_dict(self):
-        return {"property": 1, "u": self.u, "up": self.up,
-                "w": str(self.w), "wp": str(self.wp)}
+    __slots__ = ()
+    number = 1
 
 
-class Witness2(NamedTuple):
+class Witness2(_Witness, namedtuple("Witness2", "u v w")):
     """u v w is accepted while both u v^omega and u w are rejected."""
 
-    u: str
-    v: str
-    w: LassoWord
-
-    def as_dict(self):
-        return {"property": 2, "u": self.u, "v": self.v, "w": str(self.w)}
+    __slots__ = ()
+    number = 2
 
 
-class Witness3(NamedTuple):
+class Witness3(_Witness, namedtuple("Witness3", "u v vp")):
     """u (v v')^omega is accepted while u v^omega and u v'^omega are
     rejected."""
 
-    u: str
-    v: str
-    vp: str
-
-    def as_dict(self):
-        return {"property": 3, "u": self.u, "v": self.v, "vp": self.vp}
+    __slots__ = ()
+    number = 3
 
 
 def witness_from_dict(d: dict, alphabet: Alphabet):
@@ -153,41 +150,33 @@ def witness_from_dict(d: dict, alphabet: Alphabet):
         prop = d["property"]
     except (TypeError, KeyError):
         raise InvalidWitness("witness needs a 'property' field") from None
-
-    def word(key):
-        val = d.get(key)
-        if not isinstance(val, str):
-            raise InvalidWitness("witness field %r must be a string" % key)
-        alphabet.require(val)
-        return val
-
-    def lasso(key):
-        val = d.get(key)
-        if not isinstance(val, str):
-            raise InvalidWitness("witness field %r must be a string" % key)
-        return parse_lasso(val, alphabet)
-
     # True == 1 and 3.0 == 3, but neither names a property
-    if not isinstance(prop, int) or isinstance(prop, bool):
+    kind = None
+    if isinstance(prop, int) and not isinstance(prop, bool):
+        kind = {1: Witness1, 2: Witness2, 3: Witness3}.get(prop)
+    if kind is None:
         raise InvalidWitness("unknown property %r" % (prop,))
-    if prop == 1:
-        return Witness1(word("u"), word("up"), lasso("w"), lasso("wp"))
-    if prop == 2:
-        return Witness2(word("u"), word("v"), lasso("w"))
-    if prop == 3:
-        return Witness3(word("u"), word("v"), word("vp"))
-    raise InvalidWitness("unknown property %r" % (prop,))
+
+    def field(key):
+        val = d.get(key)
+        if not isinstance(val, str):
+            raise InvalidWitness("witness field %r must be a string" % key)
+        if key in ("w", "wp"):
+            return parse_lasso(val, alphabet)
+        return alphabet.require(val)
+
+    return kind(*map(field, kind._fields))
 
 
-class PropertyReport(NamedTuple):
-    passed: bool
-    witness: object = None
+class PropertyReport(namedtuple("PropertyReport", "passed witness",
+                                defaults=(None,))):
+    __slots__ = ()
 
 
-class PositionalityVerdict(NamedTuple):
-    positional: bool
-    failed_property: int | None = None
-    witness: object = None
+class PositionalityVerdict(namedtuple(
+        "PositionalityVerdict", "positional failed_property witness",
+        defaults=(None, None))):
+    __slots__ = ()
 
 
 def _return_word(a: Dpa, access: dict):
@@ -373,17 +362,15 @@ def check_positional(a: Dpa) -> PositionalityVerdict:
     return PositionalityVerdict(True)
 
 
-class Comparison(NamedTuple):
+class Comparison(namedtuple("Comparison", "left_leq right_leq u up",
+                            defaults=(None, None))):
     """Inclusion of two lassos under every reachable prefix.
 
     left_leq means: every prefix u accepting u w also accepts u w'.
     When a direction fails, u or up holds a prefix witnessing it.
     """
 
-    left_leq: bool
-    right_leq: bool
-    u: str | None = None
-    up: str | None = None
+    __slots__ = ()
 
     @property
     def equivalent(self) -> bool:
@@ -410,9 +397,8 @@ def compare_lassos(a: Dpa, w: LassoWord, wp: LassoWord) -> Comparison:
                     _lasso_mask(a, wp))
 
 
-class OrderLawReport(NamedTuple):
-    samples: int
-    violations: tuple
+class OrderLawReport(namedtuple("OrderLawReport", "samples violations")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

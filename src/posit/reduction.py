@@ -35,24 +35,21 @@ below p ever gains a partner.  The result is built once, in the input's
 order, so it equals a fresh merge and `verify_strategy` after every step.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .automata import Dpa, _lasso_mask, reachable_states
+from .automata import Dpa, _lasso_mask, _one_move_step, reachable_states
 from .cycles import _walk
 from .errors import (IncomparableLassos, InvalidPlan, InvalidStrategy,
                      MergeBrokeWinning, NotEveOnly, PreconditionViolated)
-from .games import (Game, Strategy, _check_starts, _one_move_step,
-                    validate_strategy)
+from .games import Game, Strategy, _check_starts, validate_strategy
 from .positionality import _compare
 from .words import LassoWord
 
 
-class MergePlan(NamedTuple):
+class MergePlan(namedtuple("MergePlan", "keep drop case")):
     """Redirect every edge into `drop` towards `keep` and delete `drop`."""
 
-    keep: str
-    drop: str
-    case: int
+    __slots__ = ()
 
 
 def _trace(move, frm, to):

@@ -5,7 +5,7 @@ Infinite words are restricted to lassos ``prefix . period^omega``, written
 in text as ``prefix:period``; the period must be nonempty.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import MalformedLasso, ParseError, UnknownLetter
 
@@ -56,17 +56,11 @@ class Alphabet:
         return word
 
 
-class _Lasso(NamedTuple):
-    prefix: str
-    period: str
-
-
-class LassoWord(_Lasso):
+class LassoWord(namedtuple("LassoWord", "prefix period")):
     """Ultimately periodic word prefix . period^omega."""
 
     __slots__ = ()
 
-    # a NamedTuple body may not define __new__, so the check lives here
     def __new__(cls, prefix: str, period: str):
         if not period:
             raise MalformedLasso("empty period in lasso %r:%r" % (prefix, period))

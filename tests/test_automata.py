@@ -3,12 +3,13 @@ from itertools import product as iproduct
 import pytest
 
 import posit
-from posit import (LassoWord, ParseError, PreconditionViolated,
-                   UnknownLetter, member, parse_dpa, prepend,
-                   reachable_states, residual_graph, residual_included)
+from posit import (Alphabet, Dpa, LassoWord, ParseError,
+                   PreconditionViolated, UnknownLetter, member, parse_dpa,
+                   prepend, reachable_states, residual_graph,
+                   residual_included)
 from posit.automata import _lasso_mask
-from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
-                          reachable_graph)
+from posit.cycles import (_walk, accepting_lasso_from,
+                          nodes_reaching_accepting_cycle, reachable_graph)
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (SEMANTICS, complement_shift, format_dpa, lassos_up_to,
@@ -24,6 +25,19 @@ trans 0 b 0 1
 trans 1 a 1 2
 trans 1 b 0 0
 """
+
+NAMED = """\
+dpa v1
+alphabet a b
+states s t
+initial s
+trans s a t 0
+trans s b s 1
+trans t a t 2
+trans t b s 3
+"""
+
+ROW = {"a": (0, 0), "b": (0, 1)}
 
 
 class TestParse:
@@ -97,6 +111,45 @@ class TestParse:
                           "initial p@0", "trans p@0 a p@0 0"])
         with pytest.raises(ParseError, match="reserved"):
             parse_dpa(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD.replace("states 2", "states 2\nstates 2"),
+         "^line 4: duplicate states$"),
+        (NAMED.replace("trans t b s 3\n", ""),
+         "^state t has no transition on 'b'$"),
+    ])
+    def test_duplicate_states_line_and_named_state_left_open(self, text,
+                                                            message):
+        with pytest.raises(ParseError, match=message):
+            parse_dpa(text)
+
+    def test_named_states_file_parses(self):
+        assert parse_dpa(NAMED).delta == ({"a": (1, 0), "b": (0, 1)},
+                                          {"a": (1, 2), "b": (0, 3)})
+
+
+class TestDpaChecks:
+    @pytest.mark.parametrize("names, initial, delta, error, message", [
+        (("p", "q"), 0, [ROW], ParseError,
+         "^state name count does not match transition table$"),
+        ((), 0, [], ParseError, "^automaton needs at least one state$"),
+        (("p", "p"), 0, [ROW, ROW], ParseError, "^duplicate state name$"),
+        (("p",), 1, [ROW], ParseError, "^initial state out of range$"),
+        (("p",), 0, [{"a": (0, 0)}], ParseError,
+         "^state p has no transition on 'b'$"),
+        (("p",), 0, [dict(ROW, c=(0, 0))], UnknownLetter,
+         "^letter 'c' not in alphabet$"),
+        (("p",), 0, [dict(ROW, b=(1, 0))], ParseError,
+         "^transition target out of range$"),
+        (("p",), 0, [dict(ROW, b=(0, -1))], ParseError,
+         "^negative priority$"),
+    ])
+    def test_rejects(self, names, initial, delta, error, message):
+        with pytest.raises(error, match=message):
+            Dpa(Alphabet("ab"), names, initial, delta)
+
+    def test_accepts_the_same_table_well_formed(self):
+        assert Dpa(Alphabet("ab"), ("p",), 0, [ROW]).delta == (ROW,)
 
 
 class TestRuns:
@@ -209,6 +262,16 @@ class TestReachableGraph:
         assert calls == [2, 1, 3, 0, 4]
         assert g[2] == [("x", 3), ("x", 0)]
         assert g[4] == []
+
+
+class TestWalk:
+    @pytest.mark.parametrize("least, accepted", [(0, True), (1, False)])
+    def test_least_priority_on_the_cycle_decides(self, least, accepted):
+        # 0 -> 1 -> 2 -> 1: the edge 0 -> 1, priority 0, is off the cycle
+        moves = {0: (1, 0), 1: (2, least), 2: (1, 3)}
+        memo = {}
+        assert _walk(0, moves.__getitem__, memo) is accepted
+        assert memo == dict.fromkeys(moves, accepted)
 
 
 class TestResiduals:

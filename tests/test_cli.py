@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from posit import PositError, WitnessRecheckFailed, cli, member, positionality
+from posit import (MergeBrokeWinning, PositError, WitnessRecheckFailed, cli,
+                   member, positionality)
 from posit.cli import main
 from posit.fixtures import fixture_path, load_arena, load_dpa
 from posit.games import parse_arena
+from posit.positionality import OrderLawReport
 
 
 def run(capsys, *argv):
@@ -26,6 +30,10 @@ def run_or_exit(capsys, argv):
         rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _raise(exc):
+    raise exc
 
 
 class TestCheck:
@@ -69,6 +77,10 @@ class TestQueries:
         assert (rc, out) == (0, "left strictly below right\n")
         rc, out, _ = run(capsys, "compare", path, ":a", "a:a")
         assert (rc, out) == (0, "equivalent\n")
+
+    def test_compare_right_below_left(self, capsys):
+        assert run(capsys, "compare", fixture_path("buchi_a"), ":a", ":b") \
+            == (0, "right strictly below left\n", "")
 
     def test_compare_incomparable(self, capsys):
         rc, out, _ = run(capsys, "compare", fixture_path("res"), ":b", ":c")
@@ -196,6 +208,14 @@ class TestErrors:
                                 "1000000000000 trans lines, the file has 1: "
                                 "state 1 has no transition on 'a'\n")
 
+    def test_named_state_without_transition(self, capsys, tmp_path):
+        bad = tmp_path / "named.dpa"
+        bad.write_text("dpa v1\nalphabet a b\nstates s t\ninitial s\n"
+                       "trans s a t 0\ntrans s b s 1\ntrans t a t 0\n",
+                       encoding="utf-8")
+        assert run(capsys, "check", str(bad)) == (
+            2, "", "error: state t has no transition on 'b'\n")
+
     def test_file_not_utf8(self, capsys, tmp_path):
         bad = tmp_path / "latin1.arena"
         bad.write_bytes(b"arena v1\n# caf\xe9\n")
@@ -297,6 +317,28 @@ class TestSelftest:
         assert rc == 0
         assert "arenas: 0/0 reduced to positional" in out.splitlines()
 
+    @pytest.mark.parametrize("name, attr, fake, reason", [
+        ("buchi_a", "verify_order_laws",
+         lambda a, samples, seed: OrderLawReport(samples, ("draw 0: x",)),
+         "order law violated: draw 0: x"),
+        ("buchi_a", "reduce_to_positional",
+         lambda game, s, region: _raise(MergeBrokeWinning("broke")),
+         "trial 0: broke"),
+        ("buchi_a", "reduce_to_positional",
+         lambda game, s, region: SimpleNamespace(memory=lambda: 2),
+         "trial 0: memory 2 left"),
+        ("w2", "certify", lambda a, witness: (None, [], False, False),
+         "gadget start is not winning"),
+        ("w2", "certify", lambda a, witness: (None, [], True, True),
+         "gadget admits a positional strategy"),
+    ])
+    def test_failures(self, capsys, monkeypatch, name, attr, fake, reason):
+        monkeypatch.setattr(cli, attr, fake)
+        rc, out, _ = run(capsys, "selftest", fixture_path(name),
+                         "--trials", "1")
+        assert rc == 1
+        assert out.splitlines()[-1] == "selftest: FAIL (%s)" % reason
+
     def test_witness_branch(self, capsys):
         rc, out, _ = run(capsys, "selftest", fixture_path("w2"))
         assert rc == 0
@@ -351,8 +393,9 @@ class TestStartUp:
     def test_import_skips_dataclasses_and_fixture_loader(self):
         out = self.python("-c", "import sys, posit.cli; print(*sorted("
                           "m for m in sys.modules if m.startswith("
-                          "('dataclasses', 'posit'))))").stdout.split()
+                          "('dataclasses', 'posit', 'typing'))))").stdout.split()
         assert "dataclasses" not in out
+        assert "typing" not in out
         assert "posit.fixtures" not in out
         # every module a command other than `fixtures` runs is loaded
         # up front, so no command pays for an import on its first call
@@ -363,6 +406,45 @@ class TestStartUp:
     def test_fixtures_command_loads_its_module(self):
         out = self.python("-m", "posit", "fixtures", "ex3").stdout
         assert out.endswith("ex3.dpa\n")
+
+
+class TestZipImport:
+    """The package imported from a zip archive: bundled files load, but
+    have no path to print."""
+
+    @staticmethod
+    def python(archive, *args):
+        env = dict(os.environ, PYTHONPATH=str(archive))
+        return subprocess.run([sys.executable, "-S", *args], env=env,
+                              capture_output=True, encoding="utf-8")
+
+    @pytest.fixture(scope="class")
+    def archive(self, tmp_path_factory):
+        package = Path(cli.__file__).resolve().parent
+        path = tmp_path_factory.mktemp("zip") / "posit.zip"
+        with zipfile.ZipFile(path, "w") as zf:
+            for f in sorted(package.rglob("*")):
+                if f.is_file() and "__pycache__" not in f.parts:
+                    zf.write(f, f.relative_to(package.parent))
+        return path
+
+    @pytest.mark.parametrize("args", [(), ("ex3",)])
+    def test_fixtures_exit_2_naming_the_archive(self, archive, args):
+        done = self.python(archive, "-m", "posit", "fixtures", *args)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: %s" % archive)
+        assert done.stderr.endswith(
+            "is inside an archive: bundled files have no path\n")
+
+    def test_loaders_read_from_the_archive(self, archive):
+        done = self.python(archive, "-c", "import posit.fixtures as f; "
+                           "print(f.__file__, f.load_dpa('ex3').n, "
+                           "len(f.load_arena('w2game').owners))")
+        assert done.returncode == 0, done.stderr
+        path, states, vertices = done.stdout.split()
+        assert path.startswith(str(archive))
+        assert (states, vertices) == (str(load_dpa("ex3").n),
+                                      str(len(load_arena("w2game").owners)))
 
 
 class TestParserReuse:

@@ -58,6 +58,10 @@ class TestParseArena:
         with pytest.raises(ParseError, match=message):
             parse_arena(SMALL.replace(old, new))
 
+    def test_duplicate_vertex(self):
+        with pytest.raises(ParseError, match="^line 8: duplicate vertex 'u'$"):
+            parse_arena(SMALL + "vertex u E\n")
+
     def test_unknown_letter_in_edge(self):
         with pytest.raises(UnknownLetter):
             parse_arena(SMALL.replace("edge u a e", "edge u q e"))
@@ -345,6 +349,27 @@ class TestStrategies:
         # kept both copies over one vertex
         with pytest.raises(InvalidStrategy, match="duplicate state 'm1'"):
             Strategy(("m1", "m1"), (("m1", "a", "m1"),), {"m1": "center"})
+
+    @pytest.mark.parametrize("edge, message", [
+        (("x", "a", "m1"), "^edge from unknown state 'x'$"),
+        (("m1", "a", "x"), "^edge to unknown state 'x'$"),
+    ])
+    def test_edge_endpoints_must_be_states(self, edge, message):
+        with pytest.raises(InvalidStrategy, match=message):
+            Strategy(("m1",), (("m1", "a", "m1"), edge), {"m1": "center"})
+
+    @pytest.mark.parametrize("states, edges, sigma, message", [
+        (("m1",), (("m1", "a", "m1"),), {"m1": "center", "m2": "center"},
+         "^sigma domain differs from the state set$"),
+        (("m1",), (("m1", "a", "m1"),), {"m1": "nowhere"},
+         "^state 'm1' maps to unknown vertex 'nowhere'$"),
+        (("m1", "m2"), (("m1", "a", "m1"),), {"m1": "center", "m2": "center"},
+         "^state 'm2' has no outgoing edge$"),
+    ])
+    def test_validate_rejects_ill_formed(self, states, edges, sigma, message):
+        s = Strategy(states, edges, sigma)
+        with pytest.raises(InvalidStrategy, match=message):
+            validate_strategy(self.game(), s)
 
     def test_validate_accepts_alternation(self):
         validate_strategy(self.game(), Strategy(
@@ -639,3 +664,16 @@ class TestRandomArena:
     def test_degree_bound(self):
         arena = random_arena(6, 3, 0.5, load_dpa("rabin").alphabet, 1)
         assert all(1 <= len(arena.out_edges(v)) <= 3 for v in arena.owners)
+
+    @pytest.mark.parametrize("n_vertices, max_out_degree, eve_fraction, "
+                             "message", [
+        (0, 3, 0.5, r"^arena size parameters must be positive$"),
+        (3, 0, 0.5, r"^arena size parameters must be positive$"),
+        (3, 3, 1.5, r"^eve_fraction must be within \[0, 1\]$"),
+        (3, 3, -0.1, r"^eve_fraction must be within \[0, 1\]$"),
+    ])
+    def test_rejects_bad_parameters(self, n_vertices, max_out_degree,
+                                    eve_fraction, message):
+        with pytest.raises(PreconditionViolated, match=message):
+            random_arena(n_vertices, max_out_degree, eve_fraction,
+                         load_dpa("buchi_a").alphabet, 0)
