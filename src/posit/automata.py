@@ -14,9 +14,12 @@ is therefore a parity shift.  The text format is line based:
 MAX_PRIORITY in files.
 
 Membership of a lasso word is decided by `cycles._walk`, the evaluator
-of strategy plays and monoid omega-powers too, on the (letter position,
-state) nodes of the run, stepped by `_one_move_step` with the
-automaton's own priorities.
+of strategy plays and monoid omega-powers too.  The prefix is read from
+the start state, and then the walk steps over automaton states a whole
+period at a time, with the least priority read in that period
+(`_period_step`).  The least priority on the run's cycle is the least
+of its periods', so a walk needs at most one node per state, however
+long the lasso.
 
 Residual inclusion is read off one graph, the product of an automaton
 with its complement (`residual_graph`): L(p) is not included in L(q)
@@ -233,29 +236,52 @@ def _one_move_step(a: Dpa, move):
     return step
 
 
-def _lasso_step(a: Dpa, w: LassoWord):
-    """`_one_move_step` on the letter positions of the lasso w, position
-    i reading letter i of its prefix then period.  The first letter
-    outside the alphabet, prefix first, raises UnknownLetter."""
-    word, loop = w.prefix + w.period, len(w.prefix)
+def _period_step(a: Dpa, w: LassoWord):
+    """`_walk`'s step for the lasso w on the automaton states: state q
+    moves to the state that one whole period of w leads it to, with the
+    least priority read on the way.  The least priority on the cycle of
+    the run is the least of its periods', so the walk's verdict is the
+    run's.  The first letter of w outside the alphabet, prefix first,
+    raises UnknownLetter."""
+    word = w.prefix + w.period
+    unknown = set(word).difference(a.alphabet)
+    if unknown:
+        c = next(c for c in word if c in unknown)
+        raise UnknownLetter("letter %r not in alphabet" % c)
+    delta, first, rest = a.delta, w.period[0], w.period[1:]
+
+    def step(q):
+        q, low = delta[q][first]
+        for c in rest:
+            q, pri = delta[q][c]
+            if pri < low:
+                low = pri
+        return q, low
+    return step
+
+
+def _after(a: Dpa, q: int, word: str) -> int:
+    """The state the finite word leads q to."""
+    delta = a.delta
     for c in word:
-        if c not in a.alphabet:
-            raise UnknownLetter("letter %r not in alphabet" % c)
-    moves = [(c, i) for i, c in enumerate(word, 1)]
-    moves[-1] = (word[-1], loop)
-    return _one_move_step(a, moves.__getitem__)
+        q = delta[q][c][0]
+    return q
 
 
 def member(a: Dpa, w: LassoWord) -> bool:
-    """Is w accepted from the initial state?  One walk along its run."""
-    return _walk((0, a.initial), _lasso_step(a, w), {})
+    """Is w accepted from the initial state?  The prefix is read, then
+    one walk steps a whole period at a time."""
+    step = _period_step(a, w)
+    return _walk(_after(a, a.initial, w.prefix), step, {})
 
 
 def _lasso_mask(a: Dpa, w: LassoWord) -> int:
-    """Bit r set iff `w` is accepted from automaton state r: one walk
-    per state, with one memo for all of them."""
-    step, memo = _lasso_step(a, w), {}
-    return sum(1 << r for r in range(a.n) if _walk((0, r), step, memo))
+    """Bit r set iff `w` is accepted from automaton state r: the prefix
+    read from each state, then one walk per state over whole periods,
+    with one memo of at most `a.n` states for all of them."""
+    step, memo = _period_step(a, w), {}
+    return sum(1 << r for r in range(a.n)
+               if _walk(_after(a, r, w.prefix), step, memo))
 
 
 def residual_graph(a: Dpa, roots):

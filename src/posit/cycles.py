@@ -7,20 +7,23 @@ graph, a strategy's plays and their product with an automaton) is built
 by `reachable_graph`, from its roots and a function giving each node's
 edges; the arena × automaton game, whose every node is a root, is
 numbered directly by `games.product_game`.  There are two evaluators.
-The sweep `_accepting_components`, for branching graphs, enumerates
-even threshold tuples in ascending order; for each it keeps only edges
-at or above the thresholds, decomposes into strongly connected
-components and yields each component containing, for every coordinate,
-an edge meeting the threshold exactly.  Any cycle through such edges
-has exactly the threshold tuple as its coordinate minima, hence is
-accepting in every coordinate.  `nodes_reaching_accepting_cycle` takes
-every such component of a graph and closes them backwards;
+The sweep `_accepting_components`, for branching graphs, numbers the
+nodes its roots reach, once and breadth-first, and enumerates even
+threshold tuples in ascending order; for each it keeps only edges at
+or above the thresholds, as successor lists over the node numbers,
+finds the strongly connected components that hold a cycle (`tarjan_scc`,
+on integer lists) and yields each one containing, for every
+coordinate, an edge meeting the threshold exactly.  Any cycle through
+such edges has exactly the threshold tuple as its coordinate minima,
+hence is accepting in every coordinate.  `nodes_reaching_accepting_cycle`
+takes every such component of a graph and closes them backwards;
 `accepting_lasso_from` takes the first one of the part of the graph a
 node reaches and spells a lasso through it.  The linear walk
 `_walk`, for graphs in which every node has one move, accepts the unique
 lasso from a node iff its cycle's least priority is even, as the sweep
 does: it decides strategy plays, the priority monoid's omega-powers and
-lasso words (`automata.member` and `_lasso_mask`).
+lasso words (`automata.member` and `_lasso_mask`, a whole period per
+move).
 """
 
 from collections import deque
@@ -45,61 +48,88 @@ def reachable_graph(roots, moves):
     return graph
 
 
-def tarjan_scc(order, succ):
-    """Strongly connected components, iteratively; DFS roots follow `order`."""
-    index = {}
-    low = {}
-    onstack = set()
+def tarjan_scc(succ):
+    """The strongly connected components that hold a cycle, of the graph
+    on 0 .. len(succ) - 1 in which node v has the successors succ[v]:
+    iteratively, DFS roots ascending, each component in the order its
+    nodes leave the stack.  A lone node holds a cycle only through a
+    self-loop; the others are dropped as they leave the stack, so none
+    of them is ever listed."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    onstack = bytearray(n)
     stack = []
     comps = []
     counter = 0
-    for root in order:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ(root)))]
+        onstack[root] = 1
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            pushed = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ(w))))
-                    pushed = True
+                    onstack[w] = 1
+                    work.append((w, iter(succ[w])))
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
+                if onstack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                if low[v] == index[v]:
                     w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
+                    onstack[w] = 0
+                    if w != v:
+                        comp = [w]
+                        while w != v:
+                            w = stack.pop()
+                            onstack[w] = 0
+                            comp.append(w)
+                        comps.append(comp)
+                    elif v in succ[v]:
+                        comps.append([v])
     return comps
 
 
-def _threshold_axes(graph):
-    """Per coordinate, the even priorities on the edges, ascending.
+def _numbered(graph, roots):
+    """The nodes of `graph` that `roots` reach, numbered breadth-first
+    from the roots in their order: (that list, each node's number, the
+    set of priority tuples on their edges)."""
+    num = {}
+    nodes = []
+    for v in roots:
+        if v not in num:
+            num[v] = len(nodes)
+            nodes.append(v)
+    pris = set()
+    for v in nodes:                        # grows while iterated: BFS
+        for _c, d, p in graph[v]:
+            pris.add(p)
+            if d not in num:
+                num[d] = len(nodes)
+                nodes.append(d)
+    return nodes, num, pris
+
+
+def _threshold_axes(pris):
+    """Per coordinate, the even priorities among the tuples `pris`,
+    ascending.
 
     Only these can be met exactly by a cycle, so other thresholds are
     never tried.  None when some coordinate has no even priority.
     """
-    pris = [p for edges in graph.values() for _c, _d, p in edges]
     axes = [sorted({p for p in column if p % 2 == 0}) for column in zip(*pris)]
     if not axes or not all(axes):
         return None
@@ -127,18 +157,21 @@ def _qualifies(comp, graph, threshold):
     return None
 
 
-def _accepting_components(graph):
-    """The sweep: each (threshold, component) that `_qualifies`, even
-    threshold tuples ascending, and for each the components in
-    `tarjan_scc` order with DFS roots in the graph's order."""
-    axes = _threshold_axes(graph)
+def _accepting_components(graph, roots):
+    """The sweep over the part of `graph` that `roots` reach: each
+    (threshold, component) that `_qualifies`, even threshold tuples
+    ascending, and for each the components in `tarjan_scc` order with
+    DFS roots breadth-first from `roots`.  A component lists its nodes
+    in that breadth-first order."""
+    nodes, num, pris = _numbered(graph, roots)
+    axes = _threshold_axes(pris)
     if axes is None:
         return
     for threshold in iproduct(*axes):
-        def succ(v):
-            return [d for _c, d, pris in graph[v]
-                    if all(map(ge, pris, threshold))]
-        for comp in tarjan_scc(graph, succ):
+        kept = {p for p in pris if all(map(ge, p, threshold))}
+        succ = [[num[d] for _c, d, p in graph[v] if p in kept] for v in nodes]
+        for comp in tarjan_scc(succ):
+            comp = [nodes[i] for i in sorted(comp)]
             if _qualifies(comp, graph, threshold):
                 yield threshold, comp
 
@@ -172,22 +205,28 @@ def accepting_lasso_from(graph, start):
 
     Returns a LassoWord (access path plus cycle) or None.  The sweep
     runs on the part of the graph that `start` reaches, numbered
-    breadth-first; its first component gives the cycle, entered at the
-    component's first node, and the access path is a shortest path
-    there.  Deterministic: BFS in edge-list order, thresholds ascending.
+    breadth-first, and its first component gives the cycle
+    (`_lasso_through`).  Deterministic: BFS in edge-list order,
+    thresholds ascending.
     """
-    sub = reachable_graph([start], graph.__getitem__)
-    found = next(_accepting_components(sub), None)
+    found = next(_accepting_components(graph, [start]), None)
     if found is None:
         return None
-    threshold, comp = found
+    return _lasso_through(graph, start, *found)
+
+
+def _lasso_through(graph, start, threshold, comp):
+    """The lasso from `start` through the component `comp` that
+    `_qualifies` at `threshold`: the cycle is entered at the first node
+    of `comp` and meets every coordinate's threshold exactly, and the
+    access path is a shortest path there."""
     compset = set(comp)
-    comp = [v for v in sub if v in compset]
-    internal = _qualifies(comp, sub, threshold)
+    internal = _qualifies(comp, graph, threshold)
     entry = comp[0]
     # no priority is negative, so the zero threshold keeps every edge
     prefix = [c for c, _p in
-              _path_among(sub, sub, (0,) * len(threshold), start, entry)]
+              _path_among(graph, graph, (0,) * len(threshold), start,
+                          entry)]
     covered = [False] * len(threshold)
 
     def mark(pris):
@@ -202,7 +241,7 @@ def accepting_lasso_from(graph, start):
             continue
         v2, c2, d2, pris2 = next(
             e for e in internal if e[3][i] == threshold[i])
-        for c3, pris3 in _path_among(sub, compset, threshold, cur, v2):
+        for c3, pris3 in _path_among(graph, compset, threshold, cur, v2):
             cycle.append(c3)
             mark(pris3)
         if covered[i]:
@@ -211,7 +250,7 @@ def accepting_lasso_from(graph, start):
         cycle.append(c2)
         mark(pris2)
         cur = d2
-    for c3, _pris3 in _path_among(sub, compset, threshold, cur, entry):
+    for c3, _pris3 in _path_among(graph, compset, threshold, cur, entry):
         cycle.append(c3)
     return LassoWord("".join(prefix), "".join(cycle))
 
@@ -219,7 +258,7 @@ def accepting_lasso_from(graph, start):
 def nodes_reaching_accepting_cycle(graph):
     """All nodes from which some all-coordinates-even cycle is reachable."""
     cores = set()
-    for _threshold, comp in _accepting_components(graph):
+    for _threshold, comp in _accepting_components(graph, graph):
         cores.update(comp)
     if not cores:
         return set()

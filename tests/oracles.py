@@ -18,8 +18,10 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    PropertyReport, SinkVertex, Strategy, UnknownLetter,
                    Witness1, Witness2, Witness3, prepend, reachable_states,
                    validate_strategy, verify_strategy)
-from posit.automata import MAX_PRIORITY, RESERVED, _number, _state_names
-from posit.cycles import accepting_lasso_from
+from posit.automata import (MAX_PRIORITY, RESERVED, _number,
+                            _one_move_step, _state_names)
+from posit.cycles import (_lasso_through, _qualifies, _walk,
+                          accepting_lasso_from, reachable_graph)
 from posit.gadgets import certify
 from posit.games import _check_starts
 
@@ -160,6 +162,114 @@ def complement_shift(a: Dpa) -> Dpa:
     delta = [{c: (tgt, pri + 1) for c, (tgt, pri) in row.items()}
              for row in a.delta]
     return Dpa(a.alphabet, a.names, a.initial, delta)
+
+
+# ---------------------------------------------------------------------------
+# the lasso walk and the accepting-cycle sweep on their first node layout:
+# one walk node per (letter position, state), DFS state in dicts keyed by
+# the graph's own nodes
+
+def ref_lasso_mask(a: Dpa, w: LassoWord) -> int:
+    """Bit r set iff w is accepted from state r, by `cycles._walk` on the
+    (letter position, state) nodes of the runs: position i reads letter i
+    of the prefix then the period, and the last letter leads back to the
+    period's first position.  The first letter outside the alphabet,
+    prefix first, raises UnknownLetter."""
+    word, loop = w.prefix + w.period, len(w.prefix)
+    for c in word:
+        if c not in a.alphabet:
+            raise UnknownLetter("letter %r not in alphabet" % c)
+    moves = [(c, i) for i, c in enumerate(word, 1)]
+    moves[-1] = (word[-1], loop)
+    step, memo = _one_move_step(a, moves.__getitem__), {}
+    return sum(1 << r for r in range(a.n) if _walk((0, r), step, memo))
+
+
+def ref_tarjan_scc(order, succ):
+    """Strongly connected components, iteratively; DFS roots follow `order`."""
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    comps = []
+    counter = 0
+    for root in order:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            pushed = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ(w))))
+                    pushed = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if pushed:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def ref_accepting_components(graph):
+    """Each (threshold, component) that `_qualifies`, even threshold
+    tuples ascending, and for each the components of `ref_tarjan_scc`
+    with DFS roots in the graph's order; every node of `graph` counts."""
+    pris = [p for edges in graph.values() for _c, _d, p in edges]
+    axes = [sorted({p for p in column if p % 2 == 0}) for column in zip(*pris)]
+    if not axes or not all(axes):
+        return
+    for threshold in product(*axes):
+        def succ(v):
+            return [d for _c, d, p in graph[v]
+                    if all(x >= t for x, t in zip(p, threshold))]
+        for comp in ref_tarjan_scc(graph, succ):
+            if _qualifies(comp, graph, threshold):
+                yield threshold, comp
+
+
+def ref_accepting_lasso_from(graph, start):
+    """`accepting_lasso_from` on a copy of the part of `graph` that
+    `start` reaches: the first component of `ref_accepting_components`
+    there, its nodes put in the copy's breadth-first order."""
+    sub = reachable_graph([start], graph.__getitem__)
+    found = next(ref_accepting_components(sub), None)
+    if found is None:
+        return None
+    threshold, comp = found
+    compset = set(comp)
+    return _lasso_through(sub, start, threshold,
+                          [v for v in sub if v in compset])
+
+
+def ref_nodes_reaching_accepting_cycle(graph):
+    """The nodes with a node of some `ref_accepting_components`
+    component among those they reach, one search per node."""
+    cores = {v for _t, comp in ref_accepting_components(graph) for v in comp}
+    return {v for v in graph
+            if cores & set(reachable_graph([v], graph.__getitem__))}
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +702,41 @@ def random_dpa(rng, max_states=3, max_letters=3, max_priority=3):
     delta = [{c: (rng.randrange(n), rng.randint(0, max_priority))
               for c in letters} for _ in range(n)]
     return Dpa(Alphabet(letters), [str(q) for q in range(n)], 0, delta)
+
+
+def counter_buchi(n):
+    """Infinitely many a: a counts up modulo n with priority 0, b counts
+    up from odd states and stays on even ones with priority 1."""
+    delta = [{"a": ((q + 1) % n, 0), "b": ((q + 1) % n if q % 2 else q, 1)}
+             for q in range(n)]
+    return Dpa(Alphabet("ab"), [str(q) for q in range(n)], 0, delta)
+
+
+def random_letter_graph(rng):
+    """A cycles.py graph over letters a and b with 1-3 priority
+    coordinates, and the nodes of its main part.
+
+    The main part has 1-10 nodes named in a shuffled order, each with
+    0-3 edges of priorities 0..4, a third of them self-loops.  Two more
+    nodes form an island: a cycle with priority 0 in every coordinate,
+    and an edge into the main part but none back, so roots in the main
+    part never reach it.
+    """
+    k = rng.randint(1, 3)
+    n = rng.randint(1, 10)
+    main = ["v%d" % i for i in rng.sample(range(n), n)]
+
+    def edge(v, targets):
+        d = v if rng.random() < 1 / 3 else rng.choice(targets)
+        return (rng.choice("ab"), d,
+                tuple(rng.randint(0, 4) for _ in range(k)))
+
+    graph = {v: [edge(v, main) for _ in range(rng.randint(0, 3))]
+             for v in main}
+    zero = (0,) * k
+    graph["i0"] = [("a", "i1", zero), ("b", rng.choice(main), zero)]
+    graph["i1"] = [("a", "i0", zero)]
+    return graph, main
 
 
 def perm_parity(n):

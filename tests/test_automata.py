@@ -1,19 +1,28 @@
+import random
+from collections import Counter
 from itertools import product as iproduct
+from operator import lt
 
 import pytest
 
 import posit
+from posit import automata
 from posit import (Alphabet, Dpa, LassoWord, ParseError,
                    PreconditionViolated, UnknownLetter, member, parse_dpa,
                    prepend, reachable_states, residual_graph,
                    residual_included)
 from posit.automata import _lasso_mask
-from posit.cycles import (_walk, accepting_lasso_from,
-                          nodes_reaching_accepting_cycle, reachable_graph)
+from posit.cycles import (_accepting_components, _walk, accepting_lasso_from,
+                          nodes_reaching_accepting_cycle, reachable_graph,
+                          tarjan_scc)
 from posit.fixtures import DPA_NAMES, load_dpa
 
-from oracles import (SEMANTICS, complement_shift, format_dpa, lassos_up_to,
-                     member_from, pair_graph, random_lassos, sim_member)
+from oracles import (SEMANTICS, complement_shift, counter_buchi, format_dpa,
+                     lassos_up_to, member_from, pair_graph, random_dpa,
+                     random_lassos, random_letter_graph,
+                     ref_accepting_components, ref_accepting_lasso_from,
+                     ref_lasso_mask, ref_nodes_reaching_accepting_cycle,
+                     sim_member)
 
 GOOD = """\
 dpa v1
@@ -272,6 +281,109 @@ class TestWalk:
         memo = {}
         assert _walk(0, moves.__getitem__, memo) is accepted
         assert memo == dict.fromkeys(moves, accepted)
+
+
+class TestLassoWalk:
+    """`member` and `_lasso_mask` walk a lasso a whole period at a time;
+    the reference walks one letter position at a time, and `member_from`
+    runs periods until the entry state repeats."""
+
+    @staticmethod
+    def agree(a, w):
+        mask = _lasso_mask(a, w)
+        assert mask == ref_lasso_mask(a, w), (a.delta, w)
+        assert mask == sum(1 << r for r in range(a.n)
+                           if member_from(a, r, w)), (a.delta, w)
+        assert member(a, w) == bool(mask >> a.initial & 1), (a.delta, w)
+
+    @pytest.mark.parametrize("name", DPA_NAMES)
+    def test_fixtures_on_every_short_lasso(self, name):
+        a = load_dpa(name)
+        for w in lassos_up_to(a.alphabet, 2, 3):
+            self.agree(a, w)
+
+    def test_random_automata(self):
+        rng = random.Random(25)
+        for seed in range(400):
+            a = random_dpa(rng, max_states=5, max_priority=5)
+            for w in random_lassos(a.alphabet, 4, seed, 3, 7):
+                self.agree(a, w)
+
+    @pytest.mark.parametrize("w, letter", [
+        (LassoWord("az", "y"), "z"),
+        (LassoWord("a", "bzy"), "z"),
+        (LassoWord("yz", "a"), "y"),
+    ])
+    def test_unknown_letter_prefix_first(self, w, letter):
+        a = load_dpa("res")
+        message = "^letter '%s' not in alphabet$" % letter
+        for decide in (member, _lasso_mask, ref_lasso_mask,
+                       lambda a, w: member_from(a, a.initial, w)):
+            with pytest.raises(UnknownLetter, match=message):
+                decide(a, w)
+
+    def test_memo_holds_at_most_one_entry_per_state(self, monkeypatch):
+        sizes = []
+
+        def recording_walk(node, step, memo):
+            verdict = _walk(node, step, memo)
+            sizes.append(len(memo))
+            return verdict
+
+        monkeypatch.setattr(automata, "_walk", recording_walk)
+        rng = random.Random(26)
+        cases = [(counter_buchi(48), LassoWord("ba", "ab" * 500))]
+        cases += [(a, w) for a in (random_dpa(rng, max_states=5)
+                                   for _ in range(50))
+                  for w in random_lassos(a.alphabet, 3, 0, 3, 9)]
+        for a, w in cases:
+            for decide in (member, _lasso_mask):
+                sizes.clear()
+                decide(a, w)
+                assert sizes and max(sizes) <= a.n, (decide, a.delta, w)
+
+
+class TestSweep:
+    """The sweep on node numbers against the dict-keyed sweep it
+    replaced, on random letter graphs with 1-3 coordinates."""
+
+    def test_tarjan_lists_only_components_with_a_cycle(self):
+        # 3 and 4 are lone nodes without a self-loop; 2 has one
+        assert tarjan_scc([[1], [0, 2], [2], [0], [3, 0]]) \
+            == [[2], [1, 0]]
+
+    def test_random_letter_graphs(self):
+        rng = random.Random(27)
+        seen = Counter()
+        for _ in range(600):
+            graph, main = random_letter_graph(rng)
+            found = [(t, set(comp))
+                     for t, comp in _accepting_components(graph, graph)]
+            assert found == [(t, set(comp)) for t, comp
+                             in ref_accepting_components(graph)], graph
+            roots = rng.choices(main, k=rng.randint(1, 3))
+            reached = [(t, set(comp))
+                       for t, comp in _accepting_components(graph, roots)]
+            sub = reachable_graph(roots, graph.__getitem__)
+            assert reached == [(t, set(comp)) for t, comp
+                               in ref_accepting_components(sub)], (graph, roots)
+            assert nodes_reaching_accepting_cycle(graph) \
+                == ref_nodes_reaching_accepting_cycle(graph)
+            for v in graph:
+                assert accepting_lasso_from(graph, v) \
+                    == ref_accepting_lasso_from(graph, v), (graph, v)
+            seen["coordinates %d" % len(graph["i0"][0][2])] += 1
+            seen["island swept"] += any(comp == {"i0", "i1"}
+                                        for _t, comp in found)
+            seen["island unreached"] += "i0" not in sub
+            seen["self-loop component"] += any(len(comp) == 1
+                                               for _t, comp in found)
+            seen["self-loop below threshold"] += any(
+                d == v and any(map(lt, p, t))
+                for t, _comp in found for v in main
+                for _c, d, p in graph[v])
+            seen["main part accepting"] += bool(reached)
+        assert min(seen.values()) >= 50 and len(seen) == 8, seen
 
 
 class TestResiduals:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,6 +15,8 @@ from posit.cli import main
 from posit.fixtures import fixture_path, load_arena, load_dpa
 from posit.games import parse_arena
 from posit.positionality import OrderLawReport
+
+from oracles import counter_buchi, format_dpa
 
 
 def run(capsys, *argv):
@@ -86,6 +89,23 @@ class TestQueries:
         rc, out, _ = run(capsys, "compare", fixture_path("res"), ":b", ":c")
         assert rc == 1
         assert out == "incomparable (u='a', u'='b')\n"
+
+    def test_compare_long_period(self, capsys, tmp_path):
+        # A lasso is walked a whole period at a time over the automaton's
+        # states, so a 100 000-letter period on 48 states keeps at most
+        # 48 walk nodes; a walk with one node per letter position and
+        # state held 4.8 million and peaked at about 260 MB.
+        path = tmp_path / "counter48.dpa"
+        path.write_text(format_dpa(counter_buchi(48)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            result = run(capsys, "compare", str(path),
+                         "ba:" + "ab" * 50_000, ":a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "equivalent\n", "")
+        assert peak < 50 * 2 ** 20, peak
 
     def test_include(self, capsys):
         path = fixture_path("res")
