@@ -315,7 +315,7 @@ def residual_included(a: Dpa, p: int, q: int) -> LassoWord | None:
         if state not in range(a.n):
             raise PreconditionViolated(
                 "%r is not a state id of %r" % (state, a))
-    return accepting_lasso_from(residual_graph(a, [(p, q)]), (p, q))
+    return accepting_lasso_from(residual_graph(a, [(p, q)]))
 
 
 def reachable_states(a: Dpa):

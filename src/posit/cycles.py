@@ -5,20 +5,22 @@ priorities) triples, where priorities is a tuple with one entry per
 acceptance coordinate.  Every graph explored from roots (the residual
 graph, a strategy's plays and their product with an automaton) is built
 by `reachable_graph`, from its roots and a function giving each node's
-edges; the arena × automaton game, whose every node is a root, is
-numbered directly by `games.product_game`.  There are two evaluators.
+edges, so its nodes come breadth-first from those roots; the arena ×
+automaton game, whose every node is a root, is numbered directly by
+`games.product_game`.  There are two evaluators.
 The sweep `_accepting_components`, for branching graphs, numbers the
-nodes its roots reach, once and breadth-first, and enumerates even
-threshold tuples in ascending order; for each it keeps only edges at
-or above the thresholds, as successor lists over the node numbers,
+nodes of the graph it is given in the graph's own order and enumerates
+even threshold tuples in ascending order; for each it keeps only edges
+at or above the thresholds, as successor lists over the node numbers,
 finds the strongly connected components that hold a cycle (`tarjan_scc`,
 on integer lists) and yields each one containing, for every
-coordinate, an edge meeting the threshold exactly.  Any cycle through
-such edges has exactly the threshold tuple as its coordinate minima,
-hence is accepting in every coordinate.  `nodes_reaching_accepting_cycle`
-takes every such component of a graph and closes them backwards;
-`accepting_lasso_from` takes the first one of the part of the graph a
-node reaches and spells a lasso through it.  The linear walk
+coordinate, an edge meeting the threshold exactly, with its internal
+edges.  Any cycle through such edges has exactly the threshold tuple as
+its coordinate minima, hence is accepting in every coordinate.
+`nodes_reaching_accepting_cycle` takes every such component of a graph
+and closes them backwards, by `reachable_graph` over the reversed
+edges; `accepting_lasso_from` takes the first one of a graph built from
+one root and spells a lasso from that root through it.  The linear walk
 `_walk`, for graphs in which every node has one move, accepts the unique
 lasso from a node iff its cycle's least priority is even, as the sweep
 does: it decides strategy plays, the priority monoid's omega-powers and
@@ -103,26 +105,6 @@ def tarjan_scc(succ):
     return comps
 
 
-def _numbered(graph, roots):
-    """The nodes of `graph` that `roots` reach, numbered breadth-first
-    from the roots in their order: (that list, each node's number, the
-    set of priority tuples on their edges)."""
-    num = {}
-    nodes = []
-    for v in roots:
-        if v not in num:
-            num[v] = len(nodes)
-            nodes.append(v)
-    pris = set()
-    for v in nodes:                        # grows while iterated: BFS
-        for _c, d, p in graph[v]:
-            pris.add(p)
-            if d not in num:
-                num[d] = len(nodes)
-                nodes.append(d)
-    return nodes, num, pris
-
-
 def _threshold_axes(pris):
     """Per coordinate, the even priorities among the tuples `pris`,
     ascending.
@@ -157,13 +139,15 @@ def _qualifies(comp, graph, threshold):
     return None
 
 
-def _accepting_components(graph, roots):
-    """The sweep over the part of `graph` that `roots` reach: each
-    (threshold, component) that `_qualifies`, even threshold tuples
-    ascending, and for each the components in `tarjan_scc` order with
-    DFS roots breadth-first from `roots`.  A component lists its nodes
-    in that breadth-first order."""
-    nodes, num, pris = _numbered(graph, roots)
+def _accepting_components(graph):
+    """The sweep over `graph`, every edge of which leads to one of its
+    nodes: each (threshold, component, its internal edges) that
+    `_qualifies`, even threshold tuples ascending, and for each the
+    components in `tarjan_scc` order with DFS roots in the graph's own
+    order.  A component lists its nodes in that order."""
+    nodes = list(graph)
+    num = {v: i for i, v in enumerate(nodes)}
+    pris = {p for edges in graph.values() for _c, _d, p in edges}
     axes = _threshold_axes(pris)
     if axes is None:
         return
@@ -172,8 +156,9 @@ def _accepting_components(graph, roots):
         succ = [[num[d] for _c, d, p in graph[v] if p in kept] for v in nodes]
         for comp in tarjan_scc(succ):
             comp = [nodes[i] for i in sorted(comp)]
-            if _qualifies(comp, graph, threshold):
-                yield threshold, comp
+            internal = _qualifies(comp, graph, threshold)
+            if internal:
+                yield threshold, comp, internal
 
 
 def _path_among(graph, allowed, threshold, frm, to):
@@ -200,33 +185,33 @@ def _path_among(graph, allowed, threshold, frm, to):
     raise AssertionError("no path inside a strongly connected component")
 
 
-def accepting_lasso_from(graph, start):
-    """A lasso from `start` whose cycle is min-even in every coordinate.
+def accepting_lasso_from(graph):
+    """A lasso from the root of `graph`, its first node, whose cycle is
+    min-even in every coordinate; `graph` is built by `reachable_graph`
+    from that one root.
 
-    Returns a LassoWord (access path plus cycle) or None.  The sweep
-    runs on the part of the graph that `start` reaches, numbered
-    breadth-first, and its first component gives the cycle
-    (`_lasso_through`).  Deterministic: BFS in edge-list order,
-    thresholds ascending.
+    Returns a LassoWord (access path plus cycle) or None.  The first
+    component of the sweep gives the cycle (`_lasso_through`).
+    Deterministic: BFS in edge-list order, thresholds ascending.
     """
-    found = next(_accepting_components(graph, [start]), None)
+    found = next(_accepting_components(graph), None)
     if found is None:
         return None
-    return _lasso_through(graph, start, *found)
+    return _lasso_through(graph, *found)
 
 
-def _lasso_through(graph, start, threshold, comp):
-    """The lasso from `start` through the component `comp` that
-    `_qualifies` at `threshold`: the cycle is entered at the first node
-    of `comp` and meets every coordinate's threshold exactly, and the
-    access path is a shortest path there."""
+def _lasso_through(graph, threshold, comp, internal):
+    """The lasso from the first node of `graph` through the component
+    `comp` that `_qualifies` at `threshold` with the `internal` edges:
+    the cycle is entered at the first node of `comp` and meets every
+    coordinate's threshold exactly, and the access path is a shortest
+    path there."""
     compset = set(comp)
-    internal = _qualifies(comp, graph, threshold)
     entry = comp[0]
     # no priority is negative, so the zero threshold keeps every edge
     prefix = [c for c, _p in
-              _path_among(graph, graph, (0,) * len(threshold), start,
-                          entry)]
+              _path_among(graph, graph, (0,) * len(threshold),
+                          next(iter(graph)), entry)]
     covered = [False] * len(threshold)
 
     def mark(pris):
@@ -256,25 +241,17 @@ def _lasso_through(graph, start, threshold, comp):
 
 
 def nodes_reaching_accepting_cycle(graph):
-    """All nodes from which some all-coordinates-even cycle is reachable."""
-    cores = set()
-    for _threshold, comp in _accepting_components(graph, graph):
-        cores.update(comp)
+    """All nodes from which some all-coordinates-even cycle is reachable:
+    the sweep's components and, by `reachable_graph` from them over
+    (letter, predecessor) edges, the nodes reaching them."""
+    cores = [v for _t, comp, _e in _accepting_components(graph) for v in comp]
     if not cores:
         return set()
     preds = {v: [] for v in graph}
     for v, edges in graph.items():
-        for _c, d, _p in edges:
-            preds[d].append(v)
-    out = set(cores)
-    stack = list(cores)
-    while stack:
-        v = stack.pop()
-        for u in preds[v]:
-            if u not in out:
-                out.add(u)
-                stack.append(u)
-    return out
+        for c, d, _p in edges:
+            preds[d].append((c, v))
+    return set(reachable_graph(cores, preds.__getitem__))
 
 
 def _walk(node, step, memo) -> bool:

@@ -81,34 +81,28 @@ def gadget_from_witness(witness, alphabet: Alphabet):
         # Eve repeats v or leaves for w after the forced prefix u.
         if not witness.v:
             raise InvalidWitness("the loop word must be nonempty")
-        alphabet.require(witness.u)
-        alphabet.require(witness.v)
-        hub = b.vertex("e", EVE)
-        if witness.u:
-            start = b.vertex("s", ADAM)
-            b.path(start, witness.u, hub)
-        else:
-            start = hub
-        b.path(hub, witness.v, hub)
-        b.lasso_exit(hub, witness.w)
-        return b.arena(), [start]
-    if isinstance(witness, Witness3):
+        loops = (witness.v,)
+    elif isinstance(witness, Witness3):
         # Eve alternates freely between the v and v' loops.
         if not witness.v or not witness.vp:
             raise InvalidWitness("both loop words must be nonempty")
-        alphabet.require(witness.u)
-        alphabet.require(witness.v)
-        alphabet.require(witness.vp)
-        hub = b.vertex("e", EVE)
-        if witness.u:
-            start = b.vertex("s", ADAM)
-            b.path(start, witness.u, hub)
-        else:
-            start = hub
-        b.path(hub, witness.v, hub)
-        b.path(hub, witness.vp, hub)
-        return b.arena(), [start]
-    raise InvalidWitness("unknown witness %r" % (witness,))
+        loops = (witness.v, witness.vp)
+    else:
+        raise InvalidWitness("unknown witness %r" % (witness,))
+    alphabet.require(witness.u)
+    for word in loops:
+        alphabet.require(word)
+    hub = b.vertex("e", EVE)
+    if witness.u:
+        start = b.vertex("s", ADAM)
+        b.path(start, witness.u, hub)
+    else:
+        start = hub
+    for word in loops:
+        b.path(hub, word, hub)
+    if isinstance(witness, Witness2):
+        b.lasso_exit(hub, witness.w)
+    return b.arena(), [start]
 
 
 def certify(a: Dpa, witness):

@@ -447,8 +447,8 @@ def _wins(g: Game, plays, starts) -> bool:
         return [(c, (dst, row[c][0]), (row[c][1] + 1,))
                 for c, dst in plays[node[0]]]
 
-    bad = nodes_reaching_accepting_cycle(reachable_graph(roots, moves))
-    return not any(root in bad for root in roots)
+    # every node is reached from a root, so a root reaches any bad cycle
+    return not nodes_reaching_accepting_cycle(reachable_graph(roots, moves))
 
 
 def _check_starts(starts, known, kind: str) -> list:

@@ -9,7 +9,8 @@ witness over lasso words:
 
 All three hold iff the language is positional for the protagonist.
 Properties 1 and 2 read residual inclusion off one sweep of the
-residual graph.  Properties 2 and 3 work on the transition monoid
+residual graph, and take their witness lassos from `residual_included`,
+as `posit include` does.  Properties 2 and 3 work on the transition monoid
 enriched with minimum priorities (`PriorityMonoid`), so they quantify
 over finitely many monoid elements instead of all words.
 `check_positional` computes each of these once and hands it to every
@@ -22,9 +23,8 @@ from functools import cached_property
 from itertools import combinations, product as iproduct
 
 from .automata import (Dpa, _lasso_mask, member, reachable_states,
-                       residual_graph)
-from .cycles import (_walk, accepting_lasso_from,
-                     nodes_reaching_accepting_cycle)
+                       residual_graph, residual_included)
+from .cycles import _walk, nodes_reaching_accepting_cycle
 from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
                      WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
@@ -206,9 +206,9 @@ def _recheck(a: Dpa, witness, accepted, rejected) -> None:
 class _Facts:
     """What the three property checks share, each computed at most once:
     the access words of the reachable states and those states in order;
-    on first use, the residual graph over pairs of them with the set of
-    pairs (p, q) such that L(p) is not included in L(q), and the
-    priority monoid."""
+    on first use, the set of pairs (p, q) of them such that L(p) is not
+    included in L(q), read off one sweep of the residual graph, which is
+    not kept, and the priority monoid."""
 
     def __init__(self, a: Dpa):
         self.a = a
@@ -216,10 +216,10 @@ class _Facts:
         self.states = sorted(self.access)
 
     @cached_property
-    def residuals(self):
-        """(residual graph, its nodes reaching an accepting cycle)."""
-        g = residual_graph(self.a, iproduct(self.states, repeat=2))
-        return g, nodes_reaching_accepting_cycle(g)
+    def residuals(self) -> set:
+        """The pairs (p, q) with L(p) not included in L(q)."""
+        return nodes_reaching_accepting_cycle(
+            residual_graph(self.a, iproduct(self.states, repeat=2)))
 
     @cached_property
     def monoid(self) -> PriorityMonoid:
@@ -228,7 +228,7 @@ class _Facts:
 
 def _property1(facts: _Facts) -> PropertyReport:
     a, access, states = facts.a, facts.access, facts.states
-    g, bad = facts.residuals
+    bad = facts.residuals
     failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
                if (p, q) in bad and (q, p) in bad]
     if not failing:
@@ -250,8 +250,8 @@ def _property1(facts: _Facts) -> PropertyReport:
     else:
         p, q = failing[0]
         u, up = access[p], access[q]
-    chosen = Witness1(u, up, accepting_lasso_from(g, (p, q)),
-                      accepting_lasso_from(g, (q, p)))
+    chosen = Witness1(u, up, residual_included(a, p, q),
+                      residual_included(a, q, p))
     _recheck(a, chosen, accepted=(prepend(chosen.u, chosen.w),
                                   prepend(chosen.up, chosen.wp)),
              rejected=(prepend(chosen.u, chosen.wp),
@@ -261,7 +261,7 @@ def _property1(facts: _Facts) -> PropertyReport:
 
 def _property2(facts: _Facts) -> PropertyReport:
     a, access, monoid = facts.a, facts.access, facts.monoid
-    g, bad = facts.residuals
+    bad = facts.residuals
     for p in facts.states:
         bit = 1 << p
         for i, mask in enumerate(monoid.accepting):
@@ -271,7 +271,7 @@ def _property2(facts: _Facts) -> PropertyReport:
             if (q, p) not in bad:
                 continue
             found = Witness2(access[p], monoid.witness(i),
-                             accepting_lasso_from(g, (q, p)))
+                             residual_included(a, q, p))
             _recheck(a, found, accepted=(prepend(found.u + found.v, found.w),),
                      rejected=(LassoWord(found.u, found.v),
                                prepend(found.u, found.w)))

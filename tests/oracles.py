@@ -260,8 +260,9 @@ def ref_accepting_lasso_from(graph, start):
         return None
     threshold, comp = found
     compset = set(comp)
-    return _lasso_through(sub, start, threshold,
-                          [v for v in sub if v in compset])
+    comp = [v for v in sub if v in compset]
+    return _lasso_through(sub, threshold, comp,
+                          _qualifies(comp, sub, threshold))
 
 
 def ref_nodes_reaching_accepting_cycle(graph):
@@ -646,8 +647,8 @@ def ref_property1(a):
     failing = []
     for i, p in enumerate(states):
         for q in states[i + 1:]:
-            w = accepting_lasso_from(g, (p, q))
-            wp = accepting_lasso_from(g, (q, p))
+            w = accepting_lasso_from(reachable_graph([(p, q)], g.__getitem__))
+            wp = accepting_lasso_from(reachable_graph([(q, p)], g.__getitem__))
             if w is not None and wp is not None:
                 failing.append((p, q, w, wp))
     if not failing:
@@ -675,7 +676,8 @@ def ref_property2(a):
                 continue
             q = x[0][p]
             if (q, p) not in cache:
-                cache[q, p] = accepting_lasso_from(g, (q, p))
+                cache[q, p] = accepting_lasso_from(
+                    reachable_graph([(q, p)], g.__getitem__))
             if cache[q, p] is not None:
                 return PropertyReport(
                     False, Witness2(access[p], witness, cache[q, p]))

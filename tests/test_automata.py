@@ -218,8 +218,7 @@ class TestComplement:
 class TestProduct:
     def test_conj_empty_intersection(self):
         a = load_dpa("buchi_a")
-        assert accepting_lasso_from(residual_graph(a, [(0, 0)]),
-                                    (0, 0)) is None
+        assert accepting_lasso_from(residual_graph(a, [(0, 0)])) is None
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_conj_verdicts_match_brute_enumeration(self, name):
@@ -245,7 +244,8 @@ class TestProduct:
         states = sorted(reachable_states(a))
         for p in states:
             for q in states:
-                w = accepting_lasso_from(g, (p, q))
+                w = accepting_lasso_from(
+                    reachable_graph([(p, q)], g.__getitem__))
                 # the one sweep gives the same relation as the pair search
                 assert ((p, q) in bad) == (w is not None)
                 if w is not None:
@@ -358,19 +358,20 @@ class TestSweep:
         for _ in range(600):
             graph, main = random_letter_graph(rng)
             found = [(t, set(comp))
-                     for t, comp in _accepting_components(graph, graph)]
+                     for t, comp, _internal in _accepting_components(graph)]
             assert found == [(t, set(comp)) for t, comp
                              in ref_accepting_components(graph)], graph
             roots = rng.choices(main, k=rng.randint(1, 3))
-            reached = [(t, set(comp))
-                       for t, comp in _accepting_components(graph, roots)]
             sub = reachable_graph(roots, graph.__getitem__)
+            reached = [(t, set(comp))
+                       for t, comp, _internal in _accepting_components(sub)]
             assert reached == [(t, set(comp)) for t, comp
                                in ref_accepting_components(sub)], (graph, roots)
             assert nodes_reaching_accepting_cycle(graph) \
                 == ref_nodes_reaching_accepting_cycle(graph)
             for v in graph:
-                assert accepting_lasso_from(graph, v) \
+                assert accepting_lasso_from(
+                    reachable_graph([v], graph.__getitem__)) \
                     == ref_accepting_lasso_from(graph, v), (graph, v)
             seen["coordinates %d" % len(graph["i0"][0][2])] += 1
             seen["island swept"] += any(comp == {"i0", "i1"}

@@ -18,8 +18,9 @@ from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
                    prepend, reachable_states, residual_graph,
                    residual_included, verify_order_laws, witness_from_dict)
 from posit import positionality
-from posit.automata import _lasso_mask
-from posit.cycles import accepting_lasso_from, nodes_reaching_accepting_cycle
+from posit.automata import _after, _lasso_mask
+from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
+                          reachable_graph)
 from posit.positionality import _return_word
 from posit.fixtures import DPA_NAMES, load_dpa
 
@@ -394,11 +395,12 @@ def order_law_violations(a, samples, seed):
 
 class TestPinnedLassos:
     """The exact lassos of the residual sweep on seeded random DPAs,
-    pinned by a sha256: each pair's `accepting_lasso_from` on the full
-    residual graph, the set of pairs reaching an accepting cycle, each
-    pair's `residual_included` and the `check_positional` witness.  The
-    oracles' property checks call the same sweep, so only this notices
-    a change in how a lasso is spelled."""
+    pinned by a sha256: each pair's `accepting_lasso_from` on the part
+    of the full residual graph it reaches, the set of pairs reaching an
+    accepting cycle, each pair's `residual_included` and the
+    `check_positional` witness.  The oracles' property checks call the
+    same sweep, so only this notices a change in how a lasso is
+    spelled."""
 
     def test_random_dpas(self):
         rng = random.Random(16)
@@ -409,7 +411,9 @@ class TestPinnedLassos:
             graph = residual_graph(a, pairs)
             verdict = check_positional(a)
             digest.update(repr((
-                [accepting_lasso_from(graph, pair) for pair in pairs],
+                [accepting_lasso_from(
+                    reachable_graph([pair], graph.__getitem__))
+                 for pair in pairs],
                 sorted(nodes_reaching_accepting_cycle(graph)),
                 [residual_included(a, p, q) for p, q in pairs],
                 verdict.failed_property,
@@ -418,6 +422,34 @@ class TestPinnedLassos:
         assert digest.hexdigest() == (
             "29bc2178c574d33d239a6d2d3e73bc61"
             "55c47b529c52372a7debc5228c098c75")
+
+
+class TestWitnessLassosAreInclusions:
+    """The lassos of property 1 and 2 witnesses are the counterexamples
+    `residual_included` gives, as `posit include` prints them, for the
+    states the witness's prefixes lead to."""
+
+    def test_fixtures_and_random_dpas(self):
+        rng = random.Random(28)
+        automata = ([load_dpa(name) for name in DPA_NAMES]
+                    + [random_dpa(rng, max_states=5, max_priority=6)
+                       for _ in range(200)])
+        seen = Counter()
+        for a in automata:
+            found = check_property1(a).witness
+            if found is not None:
+                p = _after(a, a.initial, found.u)
+                q = _after(a, a.initial, found.up)
+                assert found.w == residual_included(a, p, q), a.delta
+                assert found.wp == residual_included(a, q, p), a.delta
+                seen[1] += 1
+            found = check_property2(a).witness
+            if found is not None:
+                p = _after(a, a.initial, found.u)
+                q = _after(a, p, found.v)
+                assert found.w == residual_included(a, q, p), a.delta
+                seen[2] += 1
+        assert seen[1] >= 10 and seen[2] >= 10, seen
 
 
 class TestWitnessSerialization:
