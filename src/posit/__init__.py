@@ -11,8 +11,9 @@ from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
                      InvalidSetting, InvalidStrategy, InvalidWitness,
                      MalformedLasso, MergeBrokeWinning, MonoidTooLarge,
                      NotEveOnly, ParseError, PositError,
-                     PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
-                     TooManyPriorities, UnknownLetter, WitnessRecheckFailed)
+                     PreconditionViolated, ResidualGraphTooLarge,
+                     SearchSpaceTooLarge, SinkVertex, TooManyPriorities,
+                     UnknownLetter, WitnessRecheckFailed)
 from .gadgets import gadget_from_witness
 from .games import (ADAM, EVE, Arena, Game, Strategy, find_positional,
                     format_arena, parse_arena, random_arena, solve_game,
@@ -32,8 +33,9 @@ __all__ = [
     "InvalidStrategy", "InvalidWitness", "LassoWord", "MalformedLasso", "MergeBrokeWinning",
     "MergePlan", "MonoidTooLarge", "NotEveOnly", "ParseError", "PositError",
     "PositionalityVerdict", "PreconditionViolated", "PriorityMonoid",
-    "PropertyReport", "SearchSpaceTooLarge", "SinkVertex", "Strategy",
-    "TooManyPriorities", "UnknownLetter", "Witness1", "Witness2", "Witness3",
+    "PropertyReport", "ResidualGraphTooLarge", "SearchSpaceTooLarge",
+    "SinkVertex", "Strategy", "TooManyPriorities", "UnknownLetter",
+    "Witness1", "Witness2", "Witness3",
     "WitnessRecheckFailed", "check_positional", "check_property1",
     "check_property2", "check_property3", "compare_lassos",
     "find_positional", "format_arena", "gadget_from_witness", "member",

@@ -23,14 +23,19 @@ long the lasso.
 
 Residual inclusion is read off one graph, the product of an automaton
 with its complement (`residual_graph`): L(p) is not included in L(q)
-iff an accepting cycle is reachable from the pair (p, q).  The graph
-holds only the pairs reachable from the ones asked about, so a single
-inclusion query explores what its pair reaches and no more.
+iff an accepting cycle is reachable from the pair (p, q).  The pair is
+the integer p·n + q, its edges come from per-letter lists of targets
+and priorities, and `cycles.reachable_graph` numbers the pairs as it
+discovers them, so the sweep reads successor numbers and no tuple is
+ever a node.  The graph holds only the pairs reachable from the ones
+asked about, so a single inclusion query explores what its pair
+reaches and no more; past RESIDUAL_CAP pairs explored, it stops with
+ResidualGraphTooLarge.
 """
 
 from collections import deque
 
-from .cycles import _walk, accepting_lasso_from, reachable_graph
+from .cycles import Graph, _walk, accepting_lasso_from, reachable_graph
 from .errors import (ParseError, PreconditionViolated, TooManyPriorities,
                      UnknownLetter)
 from .words import Alphabet, LassoWord
@@ -41,6 +46,10 @@ MAX_PRIORITY = 16
 # MAX_PRIORITY + 1, and a complement, every priority shifted by one,
 # keeps the count.
 MAX_DISTINCT_PRIORITIES = 256
+# The most pairs a residual graph explores (`residual_graph`).  Built
+# and swept, a pair took about 0.73 KB with two letters and 0.82 KB with
+# three (CPython 3.11), so the cap keeps the graph under about 1 GB.
+RESIDUAL_CAP = 1_000_000
 
 # Reserved in state and vertex names: used to join product coordinates.
 RESERVED = "@"
@@ -116,7 +125,7 @@ def _state_names(no: int, rest, alphabet: Alphabet, trans):
     any name is built.  The first state and letter left without a line
     are then among the first len(trans) // len(alphabet) + 1 states.
     """
-    if len(rest) == 1 and rest[0].isdigit():
+    if len(rest) == 1 and rest[0].isascii() and rest[0].isdigit():
         count = _number(no, rest[0], "state count")
         if count * len(alphabet) > len(trans):
             given = {(src, c) for _no, (src, c, _tgt, _pri) in trans}
@@ -284,28 +293,42 @@ def _lasso_mask(a: Dpa, w: LassoWord) -> int:
                if _walk(_after(a, r, w.prefix), step, memo))
 
 
-def residual_graph(a: Dpa, roots):
-    """The product of `a` with its complement, as a cycles.py graph over
-    the pairs reachable from `roots`.
+def residual_graph(a: Dpa, roots) -> Graph:
+    """The product of `a` with its complement, as a `cycles.Graph` over
+    the pairs reachable from the pairs (p, q) in `roots`.
 
-    Node (p, q) pairs a state of `a` with one of the complement; each
-    edge carries the priority pair of the two transitions.  A lasso is
-    accepted by both coordinates from (p, q) iff it is accepted from p
-    and rejected from q, so the nodes reaching an accepting cycle are
-    exactly the pairs with L(p) not included in L(q).
+    Pair (p, q) of a state of `a` and one of the complement is node
+    p·n + q; its edges come letter by letter from per-letter target and
+    priority lists, each with the priority pair of the two transitions.
+    A lasso is accepted by both coordinates from (p, q) iff it is
+    accepted from p and rejected from q, so the nodes reaching an
+    accepting cycle are exactly the pairs with L(p) not included in
+    L(q).  More than RESIDUAL_CAP pairs raise ResidualGraphTooLarge.
     """
-    def moves(node):
-        row1, row2 = a.delta[node[0]], a.delta[node[1]]
-        edges = []
-        for c in a.alphabet:
-            t1, pri1 = row1[c]
-            t2, pri2 = row2[c]
-            # the sweep finds only even-minimum cycles, so the second
-            # coordinate, which must reject, is the complement's priority
-            edges.append((c, (t1, t2), (pri1, pri2 + 1)))
-        return edges
+    n = a.n
+    ranks = sorted({pri for row in a.delta for _tgt, pri in row.values()})
+    rank = {pri: r for r, pri in enumerate(ranks)}
+    # the sweep finds only even-minimum cycles, so the second
+    # coordinate, which must reject, is the complement's priority; one
+    # tuple per pair of priorities serves every edge
+    pairs = [[(x, y + 1) for y in ranks] for x in ranks]
+    # per letter and state s: the target of s times n, the target of s,
+    # the row of priority pairs for the priority of s, and its rank
+    letters = []
+    for c in a.alphabet:
+        column = [row[c] for row in a.delta]
+        letters.append((c, [t * n for t, _pri in column],
+                        [t for t, _pri in column],
+                        [pairs[rank[pri]] for _t, pri in column],
+                        [rank[pri] for _t, pri in column]))
 
-    return reachable_graph(roots, moves)
+    def moves(node):
+        p, q = divmod(node, n)
+        return [(c, first[p] + second[q], row[p][col[q]])
+                for c, first, second, row, col in letters]
+
+    return reachable_graph((p * n + q for p, q in roots), moves,
+                           RESIDUAL_CAP)
 
 
 def residual_included(a: Dpa, p: int, q: int) -> LassoWord | None:

@@ -1,26 +1,28 @@
 """Decide and find cycles whose per-coordinate minimum priorities are even.
 
-Graphs are plain dicts mapping a node to a list of (letter, successor,
-priorities) triples, where priorities is a tuple with one entry per
-acceptance coordinate.  Every graph explored from roots (the residual
-graph, a strategy's plays and their product with an automaton) is built
-by `reachable_graph`, from its roots and a function giving each node's
-edges, so its nodes come breadth-first from those roots; the arena ×
-automaton game, whose every node is a root, is numbered directly by
-`games.product_game`.  There are two evaluators.
-The sweep `_accepting_components`, for branching graphs, numbers the
-nodes of the graph it is given in the graph's own order and enumerates
+Every graph explored from roots (the residual graph, a strategy's plays
+and their product with an automaton) is built by `reachable_graph`,
+from its roots and a function giving each node's edges.  It numbers
+each node as it discovers it, breadth-first from the roots, and keeps
+beside the edges that function gave the numbers of their successors,
+so nothing after the build looks a node up again (a `Graph`).  The
+arena × automaton game, whose every node is a root, is numbered
+directly by `games.product_game`.  There are two evaluators.
+The sweep `_accepting_components`, for branching graphs, enumerates
 even threshold tuples in ascending order; for each it keeps only edges
 at or above the thresholds, as successor lists over the node numbers,
 finds the strongly connected components that hold a cycle (`tarjan_scc`,
 on integer lists) and yields each one containing, for every
-coordinate, an edge meeting the threshold exactly, with its internal
-edges.  Any cycle through such edges has exactly the threshold tuple as
-its coordinate minima, hence is accepting in every coordinate.
+coordinate, an edge meeting the threshold exactly.  All components of
+one threshold are qualified in one pass over their kept edges, by
+component id, and a threshold that no kept edge meets exactly in some
+coordinate is skipped before any component is computed.  Any cycle
+through such edges has exactly the threshold tuple as its coordinate
+minima, hence is accepting in every coordinate.
 `nodes_reaching_accepting_cycle` takes every such component of a graph
-and closes them backwards, by `reachable_graph` over the reversed
-edges; `accepting_lasso_from` takes the first one of a graph built from
-one root and spells a lasso from that root through it.  The linear walk
+and closes them backwards over predecessor numbers;
+`accepting_lasso_from` takes the first one of a graph built from one
+root and spells a lasso from that root through it.  The linear walk
 `_walk`, for graphs in which every node has one move, accepts the unique
 lasso from a node iff its cycle's least priority is even, as the sweep
 does: it decides strategy plays, the priority monoid's omega-powers and
@@ -28,26 +30,61 @@ lasso words (`automata.member` and `_lasso_mask`, a whole period per
 move).
 """
 
-from collections import deque
-from itertools import product as iproduct
-from operator import ge
+from collections import deque, namedtuple
+from functools import reduce
+from itertools import compress, product as iproduct
+from operator import ge, or_
 
+from .errors import ResidualGraphTooLarge
 from .words import LassoWord
 
 
-def reachable_graph(roots, moves):
-    """The nodes reachable from `roots`, in breadth-first order, each
-    mapped to `moves(node)`: the edges leaving it, each a tuple with the
-    successor second.  Repeated roots count once."""
-    graph = dict.fromkeys(roots)
-    queue = list(graph)
-    for node in queue:
-        graph[node] = edges = moves(node)
-        for edge in edges:
-            if edge[1] not in graph:
-                graph[edge[1]] = None
-                queue.append(edge[1])
-    return graph
+class Graph(namedtuple("Graph", "nodes index edges succ")):
+    """A graph built by `reachable_graph`.  Node number i is nodes[i],
+    and index maps each node back to its number.  edges[i] lists the
+    edges leaving node i as `moves` gave them, each a tuple with the
+    successor second and, for the sweep, the tuple of its priorities
+    third; succ[i] lists their successors' numbers in the same order."""
+
+    __slots__ = ()
+
+
+def reachable_graph(roots, moves, cap=None) -> Graph:
+    """The nodes reachable from `roots`, numbered breadth-first in the
+    order they are discovered, each with `moves(node)`: the edges
+    leaving it, each a tuple with the successor second.  Repeated roots
+    count once.  With a `cap`, discovering node number `cap`, one more
+    than the cap allows, raises ResidualGraphTooLarge: the cap bounds
+    the residual graph."""
+    index = {}
+    nodes = []
+    for node in roots:
+        if node not in index:
+            if len(nodes) == cap:
+                raise _too_large(cap)
+            index[node] = len(nodes)
+            nodes.append(node)
+    edges = []
+    succ = []
+    for node in nodes:              # grows while iterated: breadth-first
+        out = moves(node)
+        nums = []
+        for edge in out:
+            j = index.get(edge[1])
+            if j is None:
+                j = len(nodes)
+                if j == cap:
+                    raise _too_large(cap)
+                index[edge[1]] = j
+                nodes.append(edge[1])
+            nums.append(j)
+        edges.append(out)
+        succ.append(nums)
+    return Graph(nodes, index, edges, succ)
+
+
+def _too_large(cap):
+    return ResidualGraphTooLarge("residual graph exceeds %d nodes" % cap)
 
 
 def tarjan_scc(succ):
@@ -58,9 +95,10 @@ def tarjan_scc(succ):
     self-loop; the others are dropped as they leave the stack, so none
     of them is ever listed."""
     n = len(succ)
+    # a node's DFS index while it is on the stack; -1 before, n after,
+    # so that a node off the stack never lowers a low link
     index = [-1] * n
     low = [0] * n
-    onstack = bytearray(n)
     stack = []
     comps = []
     counter = 0
@@ -70,34 +108,34 @@ def tarjan_scc(succ):
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack[root] = 1
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
-                if index[w] < 0:
+                x = index[w]
+                if x < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    onstack[w] = 1
                     work.append((w, iter(succ[w])))
                     break
-                if onstack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if x < low[v]:
+                    low[v] = x
             else:
                 work.pop()
+                lv = low[v]
                 if work:
                     pv = work[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                if low[v] == index[v]:
+                    if lv < low[pv]:
+                        low[pv] = lv
+                if lv == index[v]:
                     w = stack.pop()
-                    onstack[w] = 0
+                    index[w] = n
                     if w != v:
                         comp = [w]
                         while w != v:
                             w = stack.pop()
-                            onstack[w] = 0
+                            index[w] = n
                             comp.append(w)
                         comps.append(comp)
                     elif v in succ[v]:
@@ -118,75 +156,76 @@ def _threshold_axes(pris):
     return axes
 
 
-def _qualifies(comp, graph, threshold):
-    """Internal edges of `comp` at or above `threshold`, or None.
-
-    Returns the edge list only when every coordinate's threshold is met
-    exactly by at least one internal edge.
-    """
-    compset = set(comp)
-    internal = []
-    exact = [False] * len(threshold)
-    for v in comp:
-        for c, d, pris in graph[v]:
-            if d in compset and all(map(ge, pris, threshold)):
-                internal.append((v, c, d, pris))
-                for i, t in enumerate(threshold):
-                    if pris[i] == t:
-                        exact[i] = True
-    if internal and all(exact):
-        return internal
-    return None
-
-
-def _accepting_components(graph):
-    """The sweep over `graph`, every edge of which leads to one of its
-    nodes: each (threshold, component, its internal edges) that
-    `_qualifies`, even threshold tuples ascending, and for each the
-    components in `tarjan_scc` order with DFS roots in the graph's own
-    order.  A component lists its nodes in that order."""
-    nodes = list(graph)
-    num = {v: i for i, v in enumerate(nodes)}
-    pris = {p for edges in graph.values() for _c, _d, p in edges}
+def _accepting_components(graph: Graph):
+    """The sweep over `graph`: each (threshold, component) such that the
+    component's internal edges at or above the threshold meet every
+    coordinate's threshold exactly, even threshold tuples ascending, and
+    for each the components in `tarjan_scc` order.  A component lists
+    its node numbers ascending.  A threshold that no kept edge meets
+    exactly in some coordinate has no such component, so its components
+    are never computed."""
+    edges, succ = graph.edges, graph.succ
+    pris = {edge[2] for out in edges for edge in out}
     axes = _threshold_axes(pris)
     if axes is None:
         return
+    every = (1 << len(axes)) - 1
     for threshold in iproduct(*axes):
-        kept = {p for p in pris if all(map(ge, p, threshold))}
-        succ = [[num[d] for _c, d, p in graph[v] if p in kept] for v in nodes]
-        for comp in tarjan_scc(succ):
-            comp = [nodes[i] for i in sorted(comp)]
-            internal = _qualifies(comp, graph, threshold)
-            if internal:
-                yield threshold, comp, internal
+        # each kept priority tuple, with the coordinates it meets
+        # exactly as bits
+        kept = {p: sum(1 << i for i, t in enumerate(threshold) if p[i] == t)
+                for p in pris if all(map(ge, p, threshold))}
+        if reduce(or_, kept.values(), 0) != every:
+            continue            # no kept edge meets some coordinate exactly
+        if len(kept) == len(pris):
+            kept_succ = succ
+        else:
+            kept_succ = [[j for j, edge in zip(nums, out) if edge[2] in kept]
+                         for nums, out in zip(succ, edges)]
+        comps = tarjan_scc(kept_succ)
+        comp_of = [-1] * len(succ)
+        for cid, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = cid
+        for cid, comp in enumerate(comps):
+            met = 0
+            for v in comp:
+                for j, edge in zip(succ[v], edges[v]):
+                    if comp_of[j] == cid:
+                        met |= kept.get(edge[2], 0)
+                if met == every:
+                    comp.sort()
+                    yield threshold, comp
+                    break
 
 
-def _path_among(graph, allowed, threshold, frm, to):
+def _path_among(graph: Graph, allowed, threshold, frm, to):
     """Shortest path from `frm` to `to` using allowed nodes and edges at or
     above `threshold`; returns [(letter, pris), ...]. Assumes one exists."""
     if frm == to:
         return []
+    edges, succ = graph.edges, graph.succ
     parent = {frm: None}
     queue = deque([frm])
     while queue:
         v = queue.popleft()
-        for c, d, pris in graph[v]:
-            if d in allowed and d not in parent and all(map(ge, pris, threshold)):
-                parent[d] = (v, c, pris)
-                if d == to:
+        for j, edge in zip(succ[v], edges[v]):
+            if (j in allowed and j not in parent
+                    and all(map(ge, edge[2], threshold))):
+                parent[j] = (v, edge)
+                if j == to:
                     out = []
-                    while parent[d] is not None:
-                        v2, c2, pr2 = parent[d]
-                        out.append((c2, pr2))
-                        d = v2
+                    while parent[j] is not None:
+                        j, edge = parent[j]
+                        out.append((edge[0], edge[2]))
                     out.reverse()
                     return out
-                queue.append(d)
+                queue.append(j)
     raise AssertionError("no path inside a strongly connected component")
 
 
-def accepting_lasso_from(graph):
-    """A lasso from the root of `graph`, its first node, whose cycle is
+def accepting_lasso_from(graph: Graph):
+    """A lasso from the root of `graph`, its node 0, whose cycle is
     min-even in every coordinate; `graph` is built by `reachable_graph`
     from that one root.
 
@@ -200,18 +239,22 @@ def accepting_lasso_from(graph):
     return _lasso_through(graph, *found)
 
 
-def _lasso_through(graph, threshold, comp, internal):
-    """The lasso from the first node of `graph` through the component
-    `comp` that `_qualifies` at `threshold` with the `internal` edges:
-    the cycle is entered at the first node of `comp` and meets every
-    coordinate's threshold exactly, and the access path is a shortest
-    path there."""
+def _lasso_through(graph: Graph, threshold, comp):
+    """The lasso from node 0 of `graph` through the component `comp`
+    that the sweep yields at `threshold`: the cycle is entered at the
+    first node of `comp` and meets every coordinate's threshold exactly,
+    and the access path is a shortest path there."""
+    edges, succ = graph.edges, graph.succ
     compset = set(comp)
+    # the internal edges at or above the threshold, in node order
+    internal = [(v, edge[0], j, edge[2]) for v in comp
+                for j, edge in zip(succ[v], edges[v])
+                if j in compset and all(map(ge, edge[2], threshold))]
     entry = comp[0]
     # no priority is negative, so the zero threshold keeps every edge
     prefix = [c for c, _p in
-              _path_among(graph, graph, (0,) * len(threshold),
-                          next(iter(graph)), entry)]
+              _path_among(graph, range(len(succ)), (0,) * len(threshold),
+                          0, entry)]
     covered = [False] * len(threshold)
 
     def mark(pris):
@@ -240,18 +283,24 @@ def _lasso_through(graph, threshold, comp, internal):
     return LassoWord("".join(prefix), "".join(cycle))
 
 
-def nodes_reaching_accepting_cycle(graph):
+def nodes_reaching_accepting_cycle(graph: Graph) -> set:
     """All nodes from which some all-coordinates-even cycle is reachable:
-    the sweep's components and, by `reachable_graph` from them over
-    (letter, predecessor) edges, the nodes reaching them."""
-    cores = [v for _t, comp, _e in _accepting_components(graph) for v in comp]
-    if not cores:
+    the sweep's components and, breadth-first over predecessor numbers,
+    the nodes reaching them."""
+    succ = graph.succ
+    queue = [v for _t, comp in _accepting_components(graph) for v in comp]
+    if not queue:
         return set()
-    preds = {v: [] for v in graph}
-    for v, edges in graph.items():
-        for c, d, _p in edges:
-            preds[d].append((c, v))
-    return set(reachable_graph(cores, preds.__getitem__))
+    preds = [[] for _ in succ]
+    for v, nums in enumerate(succ):
+        for j in nums:
+            preds[j].append(v)
+    seen = bytearray(len(succ))
+    for v in queue:                 # grows while iterated
+        if not seen[v]:
+            seen[v] = 1
+            queue += preds[v]
+    return set(compress(graph.nodes, seen))
 
 
 def _walk(node, step, memo) -> bool:

@@ -29,6 +29,10 @@ class MonoidTooLarge(PositError):
     """Word behavior closure exceeded the element cap, MONOID_CAP."""
 
 
+class ResidualGraphTooLarge(PositError):
+    """The residual graph explored more pairs than its cap, RESIDUAL_CAP."""
+
+
 class TooManyPriorities(PositError):
     """An automaton has more distinct priorities than the game solver's
     recursion allows."""

@@ -408,15 +408,15 @@ def solve_game(g: Game) -> GameSolution:
         return [(letter[j], target[j]) for j in edges]
 
     play = reachable_graph(starts, moves)
-    if not eve.issuperset(play):
+    if not eve.issuperset(play.nodes):
         raise AssertionError("the product strategy leaves Eve's region")
     # memory state (v, q) is named v@q, the vertex and state names joined
     names, n = pg.names, pg.n
     suffix = [RESERVED + name for name in g.condition.names]
-    label = {i: names[i // n] + suffix[i % n] for i in play}
+    label = {i: names[i // n] + suffix[i % n] for i in play.nodes}
     edges = [(label[i], c, label[dst])
-             for i, out in play.items() for c, dst in out]
-    sigma = {label[i]: names[i // n] for i in play}
+             for i, out in zip(play.nodes, play.edges) for c, dst in out]
+    sigma = {label[i]: names[i // n] for i in play.nodes}
     strategy = Strategy(label.values(), edges, sigma)
     return GameSolution({names[i // n] for i in starts}, strategy,
                         [label[i] for i in starts])
@@ -424,8 +424,8 @@ def solve_game(g: Game) -> GameSolution:
 
 def _wins(g: Game, plays, starts) -> bool:
     """Is every play from `starts` won by Eve?  `plays` is the play
-    graph `reachable_graph(starts, moves)`: each state the starts reach,
-    mapped to its (letter, dst) moves.
+    graph `reachable_graph(starts, moves)`, whose edges are the
+    (letter, dst) moves of each state the starts reach.
 
     When every reached state has one move, `_walk` decides each start's
     play on `automata._one_move_step`, with no product built.  Otherwise
@@ -433,22 +433,26 @@ def _wins(g: Game, plays, starts) -> bool:
     cycle of their product with the complement reachable from a start.
     """
     a = g.condition
-    roots = [(st, a.initial) for st in starts]
-    if all(len(out) == 1 for out in plays.values()):
-        step = _one_move_step(a, lambda st: plays[st][0])
+    edges, succ = plays.edges, plays.succ
+    roots = [plays.index[st] for st in starts]
+    if all(len(nums) == 1 for nums in succ):
+        step = _one_move_step(a, lambda i: (edges[i][0][0], succ[i][0]))
         memo = {}
-        return all(_walk(root, step, memo) for root in roots)
-    delta = a.delta
+        return all(_walk((i, a.initial), step, memo) for i in roots)
+    n, delta = a.n, a.delta
 
-    # the sweep finds only even-minimum cycles and a lost play's is odd,
-    # so the product carries the complement's priority, shifted by one
+    # play state i with automaton state q is node i·n + q; the sweep
+    # finds only even-minimum cycles and a lost play's is odd, so the
+    # product carries the complement's priority, shifted by one
     def moves(node):
-        row = delta[node[1]]
-        return [(c, (dst, row[c][0]), (row[c][1] + 1,))
-                for c, dst in plays[node[0]]]
+        i, q = divmod(node, n)
+        row = delta[q]
+        return [(c, j * n + row[c][0], (row[c][1] + 1,))
+                for (c, _dst), j in zip(edges[i], succ[i])]
 
     # every node is reached from a root, so a root reaches any bad cycle
-    return not nodes_reaching_accepting_cycle(reachable_graph(roots, moves))
+    return not nodes_reaching_accepting_cycle(reachable_graph(
+        [i * n + a.initial for i in roots], moves))
 
 
 def _check_starts(starts, known, kind: str) -> list:
@@ -501,7 +505,8 @@ def find_positional(g: Game, starts):
             return out
 
         reach = reachable_graph(starts, moves)
-        signature = tuple((v, choice[v]) for v in eve_vertices if v in reach)
+        signature = tuple((v, choice[v]) for v in eve_vertices
+                          if v in reach.index)
         if signature in seen_signatures:
             continue
         seen_signatures.add(signature)

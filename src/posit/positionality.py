@@ -217,7 +217,8 @@ class _Facts:
 
     @cached_property
     def residuals(self) -> set:
-        """The pairs (p, q) with L(p) not included in L(q)."""
+        """The pairs (p, q) with L(p) not included in L(q), each as its
+        residual graph node p·n + q."""
         return nodes_reaching_accepting_cycle(
             residual_graph(self.a, iproduct(self.states, repeat=2)))
 
@@ -228,9 +229,9 @@ class _Facts:
 
 def _property1(facts: _Facts) -> PropertyReport:
     a, access, states = facts.a, facts.access, facts.states
-    bad = facts.residuals
+    bad, n = facts.residuals, a.n
     failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
-               if (p, q) in bad and (q, p) in bad]
+               if p * n + q in bad and q * n + p in bad]
     if not failing:
         return PropertyReport(True)
     # Prefer a pair whose access words are both nonempty so the witness
@@ -261,14 +262,14 @@ def _property1(facts: _Facts) -> PropertyReport:
 
 def _property2(facts: _Facts) -> PropertyReport:
     a, access, monoid = facts.a, facts.access, facts.monoid
-    bad = facts.residuals
+    bad, n = facts.residuals, a.n
     for p in facts.states:
         bit = 1 << p
         for i, mask in enumerate(monoid.accepting):
             if mask & bit:
                 continue
             q = monoid.target(i, p)
-            if (q, p) not in bad:
+            if q * n + p not in bad:
                 continue
             found = Witness2(access[p], monoid.witness(i),
                              residual_included(a, q, p))

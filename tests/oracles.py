@@ -11,6 +11,7 @@ written out again by hand so a typo in either copy shows up.
 import random
 from collections import deque, namedtuple
 from itertools import product
+from operator import ge
 
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
@@ -20,8 +21,7 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    validate_strategy, verify_strategy)
 from posit.automata import (MAX_PRIORITY, RESERVED, _number,
                             _one_move_step, _state_names)
-from posit.cycles import (_lasso_through, _qualifies, _walk,
-                          accepting_lasso_from, reachable_graph)
+from posit.cycles import _walk
 from posit.gadgets import certify
 from posit.games import _check_starts
 
@@ -233,6 +233,45 @@ def ref_tarjan_scc(order, succ):
     return comps
 
 
+# The sweep as it ran on graphs keyed by their nodes: a dict mapping
+# each node to its (letter, successor, priorities) edges, in the order
+# breadth-first search from the roots discovers the nodes.
+
+def ref_reachable(roots, graph):
+    """The part of the dict graph `graph` reachable from `roots`, as a
+    dict in breadth-first order; repeated roots count once."""
+    sub = dict.fromkeys(roots)
+    queue = list(sub)
+    for node in queue:
+        sub[node] = graph[node]
+        for edge in graph[node]:
+            if edge[1] not in sub:
+                sub[edge[1]] = None
+                queue.append(edge[1])
+    return sub
+
+
+def _qualifies(comp, graph, threshold):
+    """Internal edges of `comp` at or above `threshold`, or None.
+
+    Returns the edge list only when every coordinate's threshold is met
+    exactly by at least one internal edge.
+    """
+    compset = set(comp)
+    internal = []
+    exact = [False] * len(threshold)
+    for v in comp:
+        for c, d, pris in graph[v]:
+            if d in compset and all(map(ge, pris, threshold)):
+                internal.append((v, c, d, pris))
+                for i, t in enumerate(threshold):
+                    if pris[i] == t:
+                        exact[i] = True
+    if internal and all(exact):
+        return internal
+    return None
+
+
 def ref_accepting_components(graph):
     """Each (threshold, component) that `_qualifies`, even threshold
     tuples ascending, and for each the components of `ref_tarjan_scc`
@@ -250,11 +289,75 @@ def ref_accepting_components(graph):
                 yield threshold, comp
 
 
+def _path_among(graph, allowed, threshold, frm, to):
+    """Shortest path from `frm` to `to` using allowed nodes and edges at or
+    above `threshold`; returns [(letter, pris), ...]. Assumes one exists."""
+    if frm == to:
+        return []
+    parent = {frm: None}
+    queue = deque([frm])
+    while queue:
+        v = queue.popleft()
+        for c, d, pris in graph[v]:
+            if d in allowed and d not in parent and all(map(ge, pris, threshold)):
+                parent[d] = (v, c, pris)
+                if d == to:
+                    out = []
+                    while parent[d] is not None:
+                        v2, c2, pr2 = parent[d]
+                        out.append((c2, pr2))
+                        d = v2
+                    out.reverse()
+                    return out
+                queue.append(d)
+    raise AssertionError("no path inside a strongly connected component")
+
+
+def _lasso_through(graph, threshold, comp, internal):
+    """The lasso from the first node of `graph` through the component
+    `comp` that `_qualifies` at `threshold` with the `internal` edges:
+    the cycle is entered at the first node of `comp` and meets every
+    coordinate's threshold exactly, and the access path is a shortest
+    path there."""
+    compset = set(comp)
+    entry = comp[0]
+    # no priority is negative, so the zero threshold keeps every edge
+    prefix = [c for c, _p in
+              _path_among(graph, graph, (0,) * len(threshold),
+                          next(iter(graph)), entry)]
+    covered = [False] * len(threshold)
+
+    def mark(pris):
+        for i, t in enumerate(threshold):
+            if pris[i] == t:
+                covered[i] = True
+
+    cycle = []
+    cur = entry
+    for i in range(len(threshold)):
+        if covered[i]:
+            continue
+        v2, c2, d2, pris2 = next(
+            e for e in internal if e[3][i] == threshold[i])
+        for c3, pris3 in _path_among(graph, compset, threshold, cur, v2):
+            cycle.append(c3)
+            mark(pris3)
+        if covered[i]:
+            cur = v2
+            continue
+        cycle.append(c2)
+        mark(pris2)
+        cur = d2
+    for c3, _pris3 in _path_among(graph, compset, threshold, cur, entry):
+        cycle.append(c3)
+    return LassoWord("".join(prefix), "".join(cycle))
+
+
 def ref_accepting_lasso_from(graph, start):
     """`accepting_lasso_from` on a copy of the part of `graph` that
     `start` reaches: the first component of `ref_accepting_components`
     there, its nodes put in the copy's breadth-first order."""
-    sub = reachable_graph([start], graph.__getitem__)
+    sub = ref_reachable([start], graph)
     found = next(ref_accepting_components(sub), None)
     if found is None:
         return None
@@ -269,8 +372,22 @@ def ref_nodes_reaching_accepting_cycle(graph):
     """The nodes with a node of some `ref_accepting_components`
     component among those they reach, one search per node."""
     cores = {v for _t, comp in ref_accepting_components(graph) for v in comp}
-    return {v for v in graph
-            if cores & set(reachable_graph([v], graph.__getitem__))}
+    return {v for v in graph if cores & set(ref_reachable([v], graph))}
+
+
+def moves_of(graph):
+    """`reachable_graph`'s moves reading a built `cycles.Graph`: the
+    edges of a node as the graph holds them."""
+    return lambda node: graph.edges[graph.index[node]]
+
+
+def as_dict_graph(graph, key=lambda node: node):
+    """A `cycles.Graph` as the dict graph the references read: each node,
+    named by `key`, mapped to its edges with their successors named so
+    too, in the graph's own order."""
+    return {key(node): [(edge[0], key(graph.nodes[j])) + edge[2:]
+                        for edge, j in zip(out, nums)]
+            for node, out, nums in zip(graph.nodes, graph.edges, graph.succ)}
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +764,8 @@ def ref_property1(a):
     failing = []
     for i, p in enumerate(states):
         for q in states[i + 1:]:
-            w = accepting_lasso_from(reachable_graph([(p, q)], g.__getitem__))
-            wp = accepting_lasso_from(reachable_graph([(q, p)], g.__getitem__))
+            w = ref_accepting_lasso_from(g, (p, q))
+            wp = ref_accepting_lasso_from(g, (q, p))
             if w is not None and wp is not None:
                 failing.append((p, q, w, wp))
     if not failing:
@@ -676,8 +793,7 @@ def ref_property2(a):
                 continue
             q = x[0][p]
             if (q, p) not in cache:
-                cache[q, p] = accepting_lasso_from(
-                    reachable_graph([(q, p)], g.__getitem__))
+                cache[q, p] = ref_accepting_lasso_from(g, (q, p))
             if cache[q, p] is not None:
                 return PropertyReport(
                     False, Witness2(access[p], witness, cache[q, p]))

@@ -6,23 +6,23 @@ from operator import lt
 import pytest
 
 import posit
-from posit import automata
+from posit import automata, cli, cycles
 from posit import (Alphabet, Dpa, LassoWord, ParseError,
-                   PreconditionViolated, UnknownLetter, member, parse_dpa,
-                   prepend, reachable_states, residual_graph,
-                   residual_included)
+                   PreconditionViolated, ResidualGraphTooLarge, UnknownLetter,
+                   member, parse_dpa, prepend, reachable_states,
+                   residual_graph, residual_included)
 from posit.automata import _lasso_mask
 from posit.cycles import (_accepting_components, _walk, accepting_lasso_from,
                           nodes_reaching_accepting_cycle, reachable_graph,
                           tarjan_scc)
 from posit.fixtures import DPA_NAMES, load_dpa
 
-from oracles import (SEMANTICS, complement_shift, counter_buchi, format_dpa,
-                     lassos_up_to, member_from, pair_graph, random_dpa,
-                     random_lassos, random_letter_graph,
-                     ref_accepting_components, ref_accepting_lasso_from,
-                     ref_lasso_mask, ref_nodes_reaching_accepting_cycle,
-                     sim_member)
+from oracles import (SEMANTICS, as_dict_graph, complement_shift,
+                     counter_buchi, format_dpa, lassos_up_to, member_from,
+                     moves_of, pair_graph, random_dpa, random_lassos,
+                     random_letter_graph, ref_accepting_components,
+                     ref_accepting_lasso_from, ref_lasso_mask,
+                     ref_nodes_reaching_accepting_cycle, sim_member)
 
 GOOD = """\
 dpa v1
@@ -108,12 +108,22 @@ class TestParse:
         ("trans 0 a 1 3", "trans 0 a 1 1_0", "line 5: bad priority '1_0'"),
         ("trans 0 a 1 3", "trans 0 a 1 \u0663", "bad priority"),
         ("trans 0 a 1 3", "trans 0 a 1 +3", "bad priority"),
-        ("states 2", "states \u0662", "line 3: bad state count"),
     ])
     def test_numbers_are_ascii_digits(self, old, new, message):
         # int() reads '1_0' as 10 and the Arabic-Indic digit three as 3
         with pytest.raises(ParseError, match=message):
             parse_dpa(GOOD.replace(old, new))
+
+    @pytest.mark.parametrize("name", ["\u00b2", "\u0663", "\u0662"])
+    def test_lone_non_ascii_digit_names_a_state(self, tmp_path, capsys,
+                                                name):
+        # a count is ASCII digits only, as `1_0` names one state too
+        path = tmp_path / "one.dpa"
+        path.write_text("dpa v1\nalphabet a\nstates %s\ninitial %s\n"
+                        "trans %s a %s 0\n" % ((name,) * 4), encoding="utf-8")
+        assert parse_dpa(path.read_text(encoding="utf-8")).names == (name,)
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "positional: true\n"
 
     def test_reserved_character_in_name(self):
         text = "\n".join(["dpa v1", "alphabet a", "states p@0",
@@ -223,10 +233,14 @@ class TestProduct:
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_conj_verdicts_match_brute_enumeration(self, name):
         a = load_dpa(name)
+
+        def pair(node):
+            return divmod(node, a.n)
+
         g = residual_graph(a, iproduct(range(a.n), repeat=2))
-        assert g == pair_graph(a)
-        bad = nodes_reaching_accepting_cycle(g)
-        for p, q in g:
+        assert as_dict_graph(g, pair) == pair_graph(a)
+        bad = set(map(pair, nodes_reaching_accepting_cycle(g)))
+        for p, q in map(pair, g.nodes):
             # one root: exactly the pairs (p, q) reaches, with the same
             # edges, and the same inclusion verdict
             reach = {(p, q)}
@@ -237,15 +251,16 @@ class TestProduct:
                     break
                 reach |= step
             sub = residual_graph(a, [(p, q)])
-            assert set(sub) == reach
-            assert all(sub[node] == g[node] for node in sub)
+            assert set(map(pair, sub.nodes)) == reach
+            assert all(out == g.edges[g.index[node]]
+                       for node, out in zip(sub.nodes, sub.edges))
             assert (residual_included(a, p, q) is None) == ((p, q) not in bad)
         domain = lassos_up_to(a.alphabet, 2, 3)
         states = sorted(reachable_states(a))
         for p in states:
             for q in states:
                 w = accepting_lasso_from(
-                    reachable_graph([(p, q)], g.__getitem__))
+                    reachable_graph([p * a.n + q], moves_of(g)))
                 # the one sweep gives the same relation as the pair search
                 assert ((p, q) in bad) == (w is not None)
                 if w is not None:
@@ -267,10 +282,23 @@ class TestReachableGraph:
             return [("x", d) for d in succ[v]]
 
         g = reachable_graph([2, 2, 1, 2], moves)
-        assert list(g) == [2, 1, 3, 0, 4]
+        assert g.nodes == [2, 1, 3, 0, 4]
         assert calls == [2, 1, 3, 0, 4]
-        assert g[2] == [("x", 3), ("x", 0)]
-        assert g[4] == []
+        assert g.index == {2: 0, 1: 1, 3: 2, 0: 3, 4: 4}
+        assert g.edges[g.index[2]] == [("x", 3), ("x", 0)]
+        assert g.edges[g.index[4]] == []
+        # each successor by the number the build gave it
+        assert g.succ == [[2, 3], [2], [4], [1, 0], []]
+
+    def test_cap_counts_the_nodes_discovered(self):
+        def moves(v):
+            return [("x", (v + 1) % 5)]
+
+        assert len(reachable_graph([0], moves, cap=5).nodes) == 5
+        for roots in ([0], [0, 1, 2, 3, 4, 5]):
+            with pytest.raises(ResidualGraphTooLarge,
+                               match="^residual graph exceeds 4 nodes$"):
+                reachable_graph(roots, moves, cap=4)
 
 
 class TestWalk:
@@ -355,19 +383,26 @@ class TestSweep:
     def test_random_letter_graphs(self):
         rng = random.Random(27)
         seen = Counter()
+
+        def sweep(graph):
+            return [(t, {graph.nodes[v] for v in comp})
+                    for t, comp in _accepting_components(graph)]
+
         for _ in range(600):
             graph, main = random_letter_graph(rng)
-            found = [(t, set(comp))
-                     for t, comp, _internal in _accepting_components(graph)]
+            # every node a root: numbered in the dict's own order
+            numbered = reachable_graph(graph, graph.__getitem__)
+            assert numbered.nodes == list(graph)
+            found = sweep(numbered)
             assert found == [(t, set(comp)) for t, comp
                              in ref_accepting_components(graph)], graph
             roots = rng.choices(main, k=rng.randint(1, 3))
             sub = reachable_graph(roots, graph.__getitem__)
-            reached = [(t, set(comp))
-                       for t, comp, _internal in _accepting_components(sub)]
+            reached = sweep(sub)
             assert reached == [(t, set(comp)) for t, comp
-                               in ref_accepting_components(sub)], (graph, roots)
-            assert nodes_reaching_accepting_cycle(graph) \
+                               in ref_accepting_components(as_dict_graph(sub))
+                               ], (graph, roots)
+            assert nodes_reaching_accepting_cycle(numbered) \
                 == ref_nodes_reaching_accepting_cycle(graph)
             for v in graph:
                 assert accepting_lasso_from(
@@ -376,7 +411,7 @@ class TestSweep:
             seen["coordinates %d" % len(graph["i0"][0][2])] += 1
             seen["island swept"] += any(comp == {"i0", "i1"}
                                         for _t, comp in found)
-            seen["island unreached"] += "i0" not in sub
+            seen["island unreached"] += "i0" not in sub.index
             seen["self-loop component"] += any(len(comp) == 1
                                                for _t, comp in found)
             seen["self-loop below threshold"] += any(
@@ -385,6 +420,51 @@ class TestSweep:
                 for _c, d, p in graph[v])
             seen["main part accepting"] += bool(reached)
         assert min(seen.values()) >= 50 and len(seen) == 8, seen
+
+    def test_thresholds_no_kept_edge_meets_are_skipped(self, monkeypatch):
+        runs = []
+
+        def counting(succ):
+            runs.append(len(succ))
+            return tarjan_scc(succ)
+
+        monkeypatch.setattr(cycles, "tarjan_scc", counting)
+        # the residual edges of counter_buchi carry (0, 1) and (1, 2):
+        # at the one threshold, (0, 2), only (1, 2) is kept, and its
+        # first coordinate is not 0
+        a = counter_buchi(8)
+        graph = residual_graph(a, iproduct(range(a.n), repeat=2))
+        assert {edge[2] for out in graph.edges for edge in out} \
+            == {(0, 1), (1, 2)}
+        assert nodes_reaching_accepting_cycle(graph) == set()
+        assert runs == []
+        # L(A) is not included in L(B) in res: a threshold is met, and
+        # Tarjan runs
+        a = load_dpa("res")
+        pair = (a.state_id("A"), a.state_id("B"))
+        assert nodes_reaching_accepting_cycle(residual_graph(a, [pair]))
+        assert runs
+
+    def test_residual_graphs_of_random_dpas(self):
+        # several even thresholds per coordinate: priorities 0..16
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(300):
+            a = random_dpa(rng, max_states=8, max_priority=16)
+            tuples = pair_graph(a)
+            pairs = list(tuples)
+            bad = nodes_reaching_accepting_cycle(residual_graph(a, pairs))
+            assert {divmod(x, a.n) for x in bad} \
+                == ref_nodes_reaching_accepting_cycle(tuples), a.delta
+            for p, q in pairs:
+                w = residual_included(a, p, q)
+                assert w == ref_accepting_lasso_from(tuples, (p, q)), \
+                    (a.delta, p, q)
+                seen["lasso" if w else "included"] += 1
+            axes = [{pri for row in a.delta for _t, pri in row.values()
+                     if pri % 2 == parity} for parity in (0, 1)]
+            seen["thresholds"] += len(axes[0]) * len(axes[1]) >= 4
+        assert min(seen.values()) >= 100, seen
 
 
 class TestResiduals:
@@ -396,6 +476,21 @@ class TestResiduals:
         a = load_dpa("res")
         w = residual_included(a, a.state_id("A"), a.state_id("B"))
         assert w == LassoWord("", "b")
+
+    def test_cap_charges_only_the_pairs_explored(self, monkeypatch):
+        a = counter_buchi(48)
+        # (0, 1) reaches 144 of the 2304 pairs
+        explored = len(residual_graph(a, [(0, 1)]).nodes)
+        assert explored == 144
+        monkeypatch.setattr(automata, "RESIDUAL_CAP", explored)
+        assert residual_included(a, 0, 1) is None
+        with pytest.raises(ResidualGraphTooLarge,
+                           match="^residual graph exceeds 144 nodes$"):
+            residual_graph(a, iproduct(range(a.n), repeat=2))
+        monkeypatch.setattr(automata, "RESIDUAL_CAP", explored - 1)
+        with pytest.raises(ResidualGraphTooLarge,
+                           match="^residual graph exceeds 143 nodes$"):
+            residual_included(a, 0, 1)
 
     @pytest.mark.parametrize("p, q", [(0, 4), (-1, 0), (0, "A")])
     def test_rejects_unknown_state_ids(self, p, q):

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from posit import (MergeBrokeWinning, PositError, WitnessRecheckFailed, cli,
-                   member, positionality)
+from posit import (MergeBrokeWinning, PositError, WitnessRecheckFailed,
+                   automata, cli, member, positionality)
 from posit.cli import main
 from posit.fixtures import fixture_path, load_arena, load_dpa
 from posit.games import parse_arena
@@ -212,12 +212,13 @@ class TestErrors:
         assert err.startswith("error:") and "duplicate letter" in err
 
     def test_state_count_int_rejects(self, capsys, tmp_path):
-        # '²' passes str.isdigit but not int
+        # '²' passes str.isdigit but is no count: it names the one state,
+        # so the state 0 the file goes on to use is unknown
         bad = tmp_path / "square.dpa"
         bad.write_text("dpa v1\nalphabet a\nstates ²\ninitial 0\n"
                        "trans 0 a 0 0\n", encoding="utf-8")
         rc, _, err = run(capsys, "check", str(bad))
-        assert (rc, err) == (2, "error: line 3: bad state count '²'\n")
+        assert (rc, err) == (2, "error: unknown initial state '0'\n")
 
     def test_state_count_beyond_the_trans_lines(self, capsys, tmp_path):
         bad = tmp_path / "huge.dpa"
@@ -285,6 +286,18 @@ class TestErrors:
         monkeypatch.setattr(positionality, "MONOID_CAP", 3)
         assert run(capsys, "check", fixture_path("w2")) == (
             2, "", "error: priority monoid exceeds 3 elements\n")
+
+    def test_residual_graph_too_large_is_a_resource_limit(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(automata, "RESIDUAL_CAP", 3)
+        message = "error: residual graph exceeds 3 nodes\n"
+        # w2 has 4 states: its check numbers 16 pairs
+        assert run(capsys, "check", fixture_path("w2")) == (2, "", message)
+        # an include is charged only for the pairs it explores: from
+        # (D, A) one, from (s, s) four, as s leads to A, B and D
+        path = fixture_path("res")
+        assert run(capsys, "include", path, "D", "A") == (0, "yes\n", "")
+        assert run(capsys, "include", path, "s", "s") == (2, "", message)
 
     def test_alphabet_mismatch(self, capsys):
         rc, _, err = run(capsys, "solve", fixture_path("rabin"),

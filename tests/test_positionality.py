@@ -17,7 +17,7 @@ from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
                    check_property2, check_property3, compare_lassos, member,
                    prepend, reachable_states, residual_graph,
                    residual_included, verify_order_laws, witness_from_dict)
-from posit import positionality
+from posit import cycles, positionality
 from posit.automata import _after, _lasso_mask
 from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
                           reachable_graph)
@@ -26,7 +26,7 @@ from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
                      certify_witness, lassos_up_to, member_from,
-                     perm_parity, random_dpa, random_lassos,
+                     moves_of, perm_parity, random_dpa, random_lassos,
                      ref_compare_lassos, ref_compose,
                      ref_monoid, ref_omega_accept, ref_property1,
                      ref_property2, ref_property3, ref_return_word,
@@ -211,17 +211,17 @@ class TestIndexedMonoid:
 
     def test_one_residual_sweep_per_check(self, monkeypatch):
         sweeps = []
-        sweep = positionality.nodes_reaching_accepting_cycle
+        sweep = cycles._accepting_components
 
         def counting(g):
-            sweeps.append(len(g))
+            sweeps.append(len(g.nodes))
             return sweep(g)
 
-        monkeypatch.setattr(positionality, "nodes_reaching_accepting_cycle",
-                            counting)
+        monkeypatch.setattr(cycles, "_accepting_components", counting)
         # w2 passes properties 1 and 2, so both read the sweep
-        assert check_positional(load_dpa("w2")).failed_property == 3
-        assert len(sweeps) == 1
+        a = load_dpa("w2")
+        assert check_positional(a).failed_property == 3
+        assert sweeps == [a.n ** 2]
 
     def test_perm_parity_6_is_positional(self):
         assert check_positional(perm_parity(6)).positional
@@ -398,9 +398,9 @@ class TestPinnedLassos:
     pinned by a sha256: each pair's `accepting_lasso_from` on the part
     of the full residual graph it reaches, the set of pairs reaching an
     accepting cycle, each pair's `residual_included` and the
-    `check_positional` witness.  The oracles' property checks call the
-    same sweep, so only this notices a change in how a lasso is
-    spelled."""
+    `check_positional` witness.  The oracles' property checks spell
+    their lassos with the reference sweep, the one the package's is
+    checked against, so this pins the spelling itself."""
 
     def test_random_dpas(self):
         rng = random.Random(16)
@@ -412,9 +412,10 @@ class TestPinnedLassos:
             verdict = check_positional(a)
             digest.update(repr((
                 [accepting_lasso_from(
-                    reachable_graph([pair], graph.__getitem__))
-                 for pair in pairs],
-                sorted(nodes_reaching_accepting_cycle(graph)),
+                    reachable_graph([p * a.n + q], moves_of(graph)))
+                 for p, q in pairs],
+                sorted(divmod(node, a.n) for node
+                       in nodes_reaching_accepting_cycle(graph)),
                 [residual_included(a, p, q) for p, q in pairs],
                 verdict.failed_property,
                 verdict.witness and verdict.witness.as_dict(),
