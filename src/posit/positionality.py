@@ -15,6 +15,11 @@ enriched with minimum priorities (`PriorityMonoid`), so they quantify
 over finitely many monoid elements instead of all words.
 `check_positional` computes each of these once and hands it to every
 check that reads it.
+
+Property 3 holds iff each R_p, the elements whose omega-power p rejects,
+is closed under product.  That is R_p.g inside R_p for each g of a set G
+generating a superset of R_p, since any x.y is then some x.g1...gk; G
+is built walking R_p, so pairs are scanned only to spell a witness.
 """
 
 import random
@@ -29,7 +34,10 @@ from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
                      WitnessRecheckFailed)
 from .words import Alphabet, LassoWord, parse_lasso, prepend
 
-MONOID_CAP = 100_000  # most elements PriorityMonoid generates
+# Most elements PriorityMonoid generates: a bound on memory (codes and a
+# Cayley row per element), not on a scan of all |M|^2 pairs, which no
+# check makes.
+MONOID_CAP = 100_000
 
 
 class PriorityMonoid:
@@ -91,12 +99,16 @@ class PriorityMonoid:
         """The state element i leads p to."""
         return self.codes[i][p] // self.base
 
-    def witness(self, i: int) -> str:
-        letters = []
+    def path(self, i: int) -> list:
+        """The letter numbers of element i's witness, last first."""
+        path = []
         while i >= 0:
-            letters.append(self.letters[self.last[i]])
+            path.append(self.last[i])
             i = self.parent[i]
-        return "".join(reversed(letters))
+        return path
+
+    def witness(self, i: int) -> str:
+        return "".join(self.letters[c] for c in reversed(self.path(i)))
 
 
 def _omega_mask(key: tuple, base: int) -> int:
@@ -280,47 +292,89 @@ def _property2(facts: _Facts) -> PropertyReport:
     return PropertyReport(True)
 
 
-def _first_accepted_product(monoid: PriorityMonoid, reach: int):
-    """The first (p, i, j), p in `reach` lowest first, then i and j in
-    monoid order, such that the omega-powers of elements i and j are
-    rejected from p and that of their product is accepted; or None.
+def _first_unclosed(monoid: PriorityMonoid, states: list):
+    """The first state p of `states` whose R_p is not closed, or None.
+
+    R_p is walked in monoid order; each element not in S, the semigroup
+    the generators so far make, becomes a generator g, whose column
+    holds x.g for every x of R_p.  R_p is known by the distinct masks of
+    `accepting` lacking p, so an empty or repeated R_p is skipped.
+    """
+    acc, right = monoid.accepting, monoid.right
+    masks, closed = set(acc), set()
+    for p in states:
+        bit = 1 << p
+        key = tuple([mask for mask in masks if not mask & bit])
+        if not key or key in closed:
+            continue
+        closed.add(key)
+        rejected = [x for x, mask in enumerate(acc) if not mask & bit]
+        local = [-1] * len(acc)     # position in `rejected`, -1 outside
+        for k, x in enumerate(rejected):
+            local[x] = k
+        in_s = bytearray(len(rejected))
+        members, cols = [], []
+        for k, g in enumerate(rejected):
+            if in_s[k]:
+                continue
+            col = rejected
+            for c in reversed(monoid.path(g)):
+                col = [right[x][c] for x in col]
+            col = list(map(local.__getitem__, col))
+            if -1 in col:
+                return p
+            cols.append(col)
+            in_s[k] = 1
+            old, new = len(members), cols[-1:]
+            members.append(k)
+            # old members times g, new ones (members grows) times all
+            for i, x in enumerate(members):
+                for by in (new if i < old else cols):
+                    y = by[x]
+                    if not in_s[y]:
+                        in_s[y] = 1
+                        members.append(y)
+    return None
+
+
+def _first_accepted_product(monoid: PriorityMonoid, p: int):
+    """The first (i, j) in monoid order such that the omega-powers of
+    elements i and j are rejected from p and that of their product is
+    accepted.  There is one when R_p is not closed.
 
     Row i of the product table is filled in generation order, product
     i.j from product i.parent[j] and the right Cayley table, so each
     pair costs a few integer operations.
     """
     acc = monoid.accepting
-    rej = [~mask for mask in acc]
+    bit = 1 << p
     links = list(zip(monoid.parent, monoid.last))
     right = monoid.right
     row = [0] * len(acc)
-    best = None
     for i, right_i in enumerate(right):
-        open_ = reach & rej[i]
-        if not open_:
+        if acc[i] & bit:
             continue
         for j, (par, c) in enumerate(links):
             r = row[j] = right_i[c] if par < 0 else right[row[par]][c]
-            bits = open_ & rej[j] & acc[r]
-            if bits:
-                p = (bits & -bits).bit_length() - 1
-                best = (p, i, j)
-                # Only a lower start state can still come first.
-                reach &= (1 << p) - 1
-                open_ &= reach
-                if not open_:
-                    break
-        if not reach:
-            break
-    return best
+            if acc[r] & bit and not acc[j] & bit:
+                return i, j
 
 
 def _property3(facts: _Facts) -> PropertyReport:
+    """Property 3 fails from a reachable p iff R_p, the elements whose
+    omega-power p rejects, holds i and j with i.j outside it.  Each
+    element of R_p is a generator of `_first_unclosed` or made by earlier
+    ones, so if every x.g, x in R_p and g a generator, stays in R_p, so
+    does every x.y = x.g1...gk, a column at a time: R_p is closed.  That
+    costs |R_p| (|G_p| + witness lengths of G_p) lookups, not |R_p| |M|.
+    Only the least unclosed p is scanned pair by pair, for the first
+    (i, j): the witness a scan of every (p, i, j) would report.
+    """
     a, access, monoid = facts.a, facts.access, facts.monoid
-    first = _first_accepted_product(monoid, sum(1 << p for p in access))
-    if first is None:
+    p = _first_unclosed(monoid, facts.states)
+    if p is None:
         return PropertyReport(True)
-    p, i, j = first
+    i, j = _first_accepted_product(monoid, p)
     found = Witness3(access[p], monoid.witness(i), monoid.witness(j))
     _recheck(a, found, accepted=(LassoWord(found.u, found.v + found.vp),),
              rejected=(LassoWord(found.u, found.v),

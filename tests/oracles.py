@@ -16,9 +16,9 @@ from operator import ge
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
                    NotEveOnly, ParseError, PreconditionViolated,
-                   PropertyReport, SinkVertex, Strategy, UnknownLetter,
-                   Witness1, Witness2, Witness3, prepend, reachable_states,
-                   validate_strategy, verify_strategy)
+                   PriorityMonoid, PropertyReport, SinkVertex, Strategy,
+                   UnknownLetter, Witness1, Witness2, Witness3, prepend,
+                   reachable_states, validate_strategy, verify_strategy)
 from posit.automata import (MAX_PRIORITY, RESERVED, _number,
                             _one_move_step, _state_names)
 from posit.cycles import _walk
@@ -743,7 +743,8 @@ def ref_return_word(a):
 # ---------------------------------------------------------------------------
 # properties 1 to 3 by the plain loops: one lasso search on the pair graph
 # per pair of states, ref_omega_accept per monoid element and start
-# state, ref_compose per pair of elements
+# state, ref_compose per pair of elements; and property 3 once more over
+# the package's priority monoid, every pair of its elements scanned
 
 def pair_graph(a):
     """A x complement_shift(A) as a cycles.py graph, from the two tables."""
@@ -811,6 +812,54 @@ def ref_property3(a):
                     return PropertyReport(
                         False, Witness3(access[p], v, vp))
     return PropertyReport(True)
+
+
+def ref_first_accepted_product(monoid, reach: int):
+    """The first (p, i, j), p in `reach` lowest first, then i and j in
+    monoid order, such that the omega-powers of elements i and j are
+    rejected from p and that of their product is accepted; or None.
+
+    Every pair of elements is tested, all start states at once as bits:
+    row i of the product table is filled in generation order, product
+    i.j from product i.parent[j] and the right Cayley table.
+    """
+    acc = monoid.accepting
+    rej = [~mask for mask in acc]
+    links = list(zip(monoid.parent, monoid.last))
+    right = monoid.right
+    row = [0] * len(acc)
+    best = None
+    for i, right_i in enumerate(right):
+        open_ = reach & rej[i]
+        if not open_:
+            continue
+        for j, (par, c) in enumerate(links):
+            r = row[j] = right_i[c] if par < 0 else right[row[par]][c]
+            bits = open_ & rej[j] & acc[r]
+            if bits:
+                p = (bits & -bits).bit_length() - 1
+                best = (p, i, j)
+                # Only a lower start state can still come first.
+                reach &= (1 << p) - 1
+                open_ &= reach
+                if not open_:
+                    break
+        if not reach:
+            break
+    return best
+
+
+def ref_scan_property3(a):
+    """Property 3 by the scan of every pair of priority-monoid elements,
+    for every reachable start state."""
+    access = reachable_states(a)
+    monoid = PriorityMonoid(a)
+    first = ref_first_accepted_product(monoid, sum(1 << p for p in access))
+    if first is None:
+        return PropertyReport(True)
+    p, i, j = first
+    return PropertyReport(
+        False, Witness3(access[p], monoid.witness(i), monoid.witness(j)))
 
 
 def random_dpa(rng, max_states=3, max_letters=3, max_priority=3):

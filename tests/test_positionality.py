@@ -30,7 +30,7 @@ from oracles import (brute_property1, brute_property2, brute_property3,
                      ref_compare_lassos, ref_compose,
                      ref_monoid, ref_omega_accept, ref_property1,
                      ref_property2, ref_property3, ref_return_word,
-                     word_behavior, words_up_to)
+                     ref_scan_property3, word_behavior, words_up_to)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 
@@ -180,6 +180,7 @@ class TestIndexedMonoid:
         assert check_property1(a) == ref_property1(a)
         assert check_property2(a) == ref_property2(a)
         assert check_property3(a) == ref_property3(a)
+        assert check_property3(a) == ref_scan_property3(a)
 
     def test_random_automata_match_reference(self):
         rng = random.Random(2)
@@ -193,6 +194,7 @@ class TestIndexedMonoid:
                 report = check(a)
                 assert report == ref(a)
                 refuted[k] += not report.passed
+            assert report == ref_scan_property3(a)
         # both outcomes occur often enough for the comparison to bite
         assert min(refuted) > 100 and max(refuted) < 900
 
@@ -226,10 +228,95 @@ class TestIndexedMonoid:
     def test_perm_parity_6_is_positional(self):
         assert check_positional(perm_parity(6)).positional
 
+    def test_perm_parity_7_is_positional(self):
+        assert check_positional(perm_parity(7)).positional
+
     def test_cap_still_applies(self, monkeypatch):
         monkeypatch.setattr(positionality, "MONOID_CAP", 3)
         with pytest.raises(MonoidTooLarge):
             check_positional(load_dpa("w2"))
+
+
+class TestProperty3Closure:
+    """Property 3 by closing each R_p under its generators, against the
+    scan of every pair of monoid elements it replaces."""
+
+    def test_larger_random_automata_match_the_pair_scan(self, monkeypatch):
+        monkeypatch.setattr(positionality, "MONOID_CAP", 3000)
+        rng = random.Random(28)
+        compared = refuted = 0
+        while compared < 300:
+            a = random_dpa(rng, max_states=6, max_priority=6)
+            if a.n < 3:
+                continue
+            try:
+                report = check_property3(a)
+            except MonoidTooLarge:
+                continue
+            assert report == ref_scan_property3(a)
+            compared += 1
+            refuted += not report.passed
+        # both outcomes occur often enough for the comparison to bite
+        assert 100 < refuted < 250
+
+    def test_first_unclosed_state_need_not_be_the_lowest(self):
+        a = posit.parse_dpa("dpa v1\nalphabet a b\nstates 3\ninitial 0\n"
+                            "trans 0 a 2 1\ntrans 0 b 0 2\n"
+                            "trans 1 a 1 2\ntrans 1 b 1 3\n"
+                            "trans 2 a 2 1\ntrans 2 b 1 1\n")
+        states = sorted(reachable_states(a))
+        assert states == [0, 1, 2]
+        assert positionality._first_unclosed(PriorityMonoid(a), states) == 2
+        report = check_property3(a)
+        assert report == ref_scan_property3(a)
+        assert report.witness == Witness3("a", "a", "b")
+
+    @staticmethod
+    def rotation(n):
+        """One letter rotating n states, priority 1 out of state 0 and 3
+        elsewhere: a^k for k < 2n are distinct, the last of witness
+        length 2n - 1, and every R_p is the whole monoid."""
+        return posit.Dpa(posit.Alphabet("a"), [str(q) for q in range(n)], 0,
+                         [{"a": ((q + 1) % n, 3 if q else 1)}
+                          for q in range(n)])
+
+    @staticmethod
+    def lock(key):
+        """State q < len(key) reads key[q] on to q + 1, priority 2 (1 on
+        the way round to 0); any other letter falls into the accepting
+        sink.  R_p holds only powers of key rotated by p, so its first
+        generator's witness is len(key) letters long."""
+        n = len(key)
+        delta = [{c: ((q + 1) % n, 1 if q == n - 1 else 2) if c == key[q]
+                  else (n, 0) for c in "ab"} for q in range(n)]
+        delta.append({"a": (n, 0), "b": (n, 0)})
+        return posit.Dpa(posit.Alphabet("ab"),
+                         [str(q) for q in range(n + 1)], 0, delta)
+
+    @pytest.mark.parametrize("kind", ["rotation", "lock"])
+    def test_witnesses_longer_than_the_recursion_limit(self, kind):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        room = 30       # frames left above this test's own
+        if kind == "rotation":
+            a = self.rotation(150)
+            assert len(PriorityMonoid(a).witness(298)) == 299 > room
+        else:
+            rng = random.Random(0)
+            a = self.lock("".join(rng.choice("ab") for _ in range(40)))
+            monoid = PriorityMonoid(a)
+            first = min(i for i, mask in enumerate(monoid.accepting)
+                        if not mask & 1)
+            assert len(monoid.witness(first)) == 40 > room
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + room)
+        try:
+            report = check_property3(a)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report == ref_scan_property3(a)
+        assert report.passed
 
 
 class TestReturnWord:
