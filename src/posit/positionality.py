@@ -14,7 +14,9 @@ as `posit include` does.  Properties 2 and 3 work on the transition monoid
 enriched with minimum priorities (`PriorityMonoid`), so they quantify
 over finitely many monoid elements instead of all words.
 `check_positional` computes each of these once and hands it to every
-check that reads it.
+check that reads it.  The properties are about words, so it decides on
+the quotient of the reachable states under bisimulation, and spells a
+witness on the input automaton only.
 
 Property 3 holds iff each R_p, the elements whose omega-power p rejects,
 is closed under product.  That is R_p.g inside R_p for each g of a set G
@@ -25,8 +27,9 @@ is built walking R_p, so pairs are scanned only to spell a witness.
 import random
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, product as iproduct
+from itertools import combinations, islice, product as iproduct
 
+from . import automata
 from .automata import (Dpa, _lasso_mask, member, reachable_states,
                        residual_graph, residual_included)
 from .cycles import _walk, nodes_reaching_accepting_cycle
@@ -239,13 +242,13 @@ class _Facts:
         return PriorityMonoid(self.a)
 
 
-def _property1(facts: _Facts) -> PropertyReport:
+def _property1(facts: _Facts, spell=True) -> PropertyReport:
     a, access, states = facts.a, facts.access, facts.states
     bad, n = facts.residuals, a.n
     failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
                if p * n + q in bad and q * n + p in bad]
-    if not failing:
-        return PropertyReport(True)
+    if not failing or not spell:
+        return PropertyReport(not failing)
     # Prefer a pair whose access words are both nonempty so the witness
     # can be realised as a game gadget; fall back to the first pair.
     ret = _return_word(a, access)
@@ -272,10 +275,11 @@ def _property1(facts: _Facts) -> PropertyReport:
     return PropertyReport(False, chosen)
 
 
-def _property2(facts: _Facts) -> PropertyReport:
+def _property2(facts: _Facts, spell=True) -> PropertyReport:
     a, access, monoid = facts.a, facts.access, facts.monoid
     bad, n = facts.residuals, a.n
-    for p in facts.states:
+    ends = {node % n for node in bad}   # only these p can fail
+    for p in filter(ends.__contains__, facts.states):
         bit = 1 << p
         for i, mask in enumerate(monoid.accepting):
             if mask & bit:
@@ -283,6 +287,8 @@ def _property2(facts: _Facts) -> PropertyReport:
             q = monoid.target(i, p)
             if q * n + p not in bad:
                 continue
+            if not spell:
+                return PropertyReport(False)
             found = Witness2(access[p], monoid.witness(i),
                              residual_included(a, q, p))
             _recheck(a, found, accepted=(prepend(found.u + found.v, found.w),),
@@ -360,7 +366,7 @@ def _first_accepted_product(monoid: PriorityMonoid, p: int):
                 return i, j
 
 
-def _property3(facts: _Facts) -> PropertyReport:
+def _property3(facts: _Facts, spell=True) -> PropertyReport:
     """Property 3 fails from a reachable p iff R_p, the elements whose
     omega-power p rejects, holds i and j with i.j outside it.  Each
     element of R_p is a generator of `_first_unclosed` or made by earlier
@@ -372,8 +378,8 @@ def _property3(facts: _Facts) -> PropertyReport:
     """
     a, access, monoid = facts.a, facts.access, facts.monoid
     p = _first_unclosed(monoid, facts.states)
-    if p is None:
-        return PropertyReport(True)
+    if p is None or not spell:
+        return PropertyReport(p is None)
     i, j = _first_accepted_product(monoid, p)
     found = Witness3(access[p], monoid.witness(i), monoid.witness(j))
     _recheck(a, found, accepted=(LassoWord(found.u, found.v + found.vp),),
@@ -401,19 +407,61 @@ def check_property3(a: Dpa) -> PropertyReport:
     return _property3(_Facts(a))
 
 
+def _quotient(a: Dpa, states: list):
+    """The quotient of the reachable `states` under bisimulation, and
+    each state's block, numbered in `states` order; None if every state
+    of `a` is reachable and alone in its block, or once the rounds key
+    more than RESIDUAL_CAP states, at most |states|^2 as in the residual
+    graph.  Moore's refinement: the first round keys every state by its
+    priority per letter, each later one by its block and its target's
+    block per letter, until the block count stops growing."""
+    if a.n == 1:
+        return None
+    letters, r = a.alphabet.letters, len(states)
+    rows = [[a.delta[p][c] for c in letters] for p in states]
+    keys, count, keyed = [tuple([pri for _, pri in row]) for row in rows], 0, r
+    while True:
+        ids = {}
+        block = dict(zip(states, [ids.setdefault(k, len(ids)) for k in keys]))
+        if len(ids) in (count, r):
+            break
+        count, keyed = len(ids), keyed + r
+        if keyed > automata.RESIDUAL_CAP:
+            return None
+        keys = [(block[p], *[block[t] for t, _ in row])
+                for p, row in zip(states, rows)]
+    if len(ids) == a.n:
+        return None
+    rows = {block[p]: row for p, row in zip(states, rows)}.values()
+    return Dpa(a.alphabet, map(str, range(len(ids))), block[a.initial],
+               [{c: (block[t], pri) for c, (t, pri) in zip(letters, row)}
+                for row in rows]), block
+
+
 def check_positional(a: Dpa) -> PositionalityVerdict:
     """First failing property wins; all passing means positional.
 
     The three checks share one `_Facts`: properties 1 and 2 read the
     same residual sweep, properties 2 and 3 the same priority monoid,
     which is generated only once property 1 holds.
+
+    When `_quotient` shrinks `a`, the checks only decide on the
+    quotient, and the first that fails, if any, spells its witness on `a`.
     """
+    checks = ((1, _property1), (2, _property2), (3, _property3))
     facts = _Facts(a)
-    for number, check in ((1, _property1), (2, _property2),
-                          (3, _property3)):
+    reduced = _quotient(a, facts.states)
+    if reduced is not None:
+        quotient = _Facts(reduced[0])
+        checks = list(islice((c for c in checks
+                              if not c[1](quotient, spell=False).passed), 1))
+    for number, check in checks:
         report = check(facts)
         if not report.passed:
             return PositionalityVerdict(False, number, report.witness)
+        if reduced is not None:
+            raise AssertionError("the quotient of %r fails property %d"
+                                 % (a, number))
     return PositionalityVerdict(True)
 
 

@@ -15,10 +15,12 @@ from operator import ge
 
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
-                   NotEveOnly, ParseError, PreconditionViolated,
-                   PriorityMonoid, PropertyReport, SinkVertex, Strategy,
-                   UnknownLetter, Witness1, Witness2, Witness3, prepend,
-                   reachable_states, validate_strategy, verify_strategy)
+                   NotEveOnly, ParseError, PositionalityVerdict,
+                   PreconditionViolated, PriorityMonoid, PropertyReport,
+                   SinkVertex, Strategy, UnknownLetter, Witness1, Witness2,
+                   Witness3, check_property1, check_property2,
+                   check_property3, prepend, reachable_states,
+                   validate_strategy, verify_strategy)
 from posit.automata import (MAX_PRIORITY, RESERVED, _number,
                             _one_move_step, _state_names)
 from posit.cycles import _walk
@@ -913,6 +915,38 @@ def perm_parity(n):
     delta = [{"a": ((q + 1) % n, 1), "b": ({0: 1, 1: 0}.get(q, q), 2),
               "c": (q, 3)} for q in range(n)]
     return Dpa(Alphabet("abc"), [str(q) for q in range(n)], 0, delta)
+
+
+def perm_parity_marked(n):
+    """perm_parity(n) with priority 5 on state 0's c loop: no two states
+    are bisimilar, so the whole monoid, about n! elements, is generated
+    and closed, and the condition stays positional."""
+    a = perm_parity(n)
+    delta = [dict(row) for row in a.delta]
+    delta[0]["c"] = (0, 5)
+    return Dpa(a.alphabet, a.names, a.initial, delta)
+
+
+def unfold(a: Dpa, k: int, rng) -> Dpa:
+    """k copies of every state of `a`, copy j of q numbered q·k + j, each
+    transition sent to a random copy of its target: the copies of a
+    state are bisimilar, so the language stays that of `a`."""
+    delta = [{c: (t * k + rng.randrange(k), pri)
+              for c, (t, pri) in a.delta[q].items()}
+             for q in range(a.n) for _ in range(k)]
+    return Dpa(a.alphabet, [str(q) for q in range(a.n * k)], a.initial * k,
+               delta)
+
+
+def unreduced_check(a: Dpa) -> PositionalityVerdict:
+    """The decision of the three property checks in turn, each on `a`
+    itself, with no quotient."""
+    for number, check in enumerate((check_property1, check_property2,
+                                    check_property3), 1):
+        report = check(a)
+        if not report.passed:
+            return PositionalityVerdict(False, number, report.witness)
+    return PositionalityVerdict(True)
 
 
 def certify_witness(a, wit) -> bool:

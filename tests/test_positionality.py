@@ -12,12 +12,13 @@ import pytest
 import posit
 from posit import (InvalidWitness, LassoWord, MonoidTooLarge,
                    PositionalityVerdict, PreconditionViolated, PriorityMonoid,
-                   UnknownLetter, Witness1, Witness2, Witness3,
-                   WitnessRecheckFailed, check_positional, check_property1,
-                   check_property2, check_property3, compare_lassos, member,
-                   prepend, reachable_states, residual_graph,
-                   residual_included, verify_order_laws, witness_from_dict)
-from posit import cycles, positionality
+                   ResidualGraphTooLarge, UnknownLetter, Witness1, Witness2,
+                   Witness3, WitnessRecheckFailed, check_positional,
+                   check_property1, check_property2, check_property3,
+                   compare_lassos, member, prepend, reachable_states,
+                   residual_graph, residual_included, verify_order_laws,
+                   witness_from_dict)
+from posit import automata, cycles, positionality
 from posit.automata import _after, _lasso_mask
 from posit.cycles import (accepting_lasso_from, nodes_reaching_accepting_cycle,
                           reachable_graph)
@@ -25,12 +26,13 @@ from posit.positionality import _return_word
 from posit.fixtures import DPA_NAMES, load_dpa
 
 from oracles import (brute_property1, brute_property2, brute_property3,
-                     certify_witness, lassos_up_to, member_from,
-                     moves_of, perm_parity, random_dpa, random_lassos,
-                     ref_compare_lassos, ref_compose,
-                     ref_monoid, ref_omega_accept, ref_property1,
-                     ref_property2, ref_property3, ref_return_word,
-                     ref_scan_property3, word_behavior, words_up_to)
+                     certify_witness, counter_buchi, lassos_up_to,
+                     member_from, moves_of, perm_parity, perm_parity_marked,
+                     random_dpa, random_lassos, ref_compare_lassos,
+                     ref_compose, ref_monoid, ref_omega_accept,
+                     ref_property1, ref_property2, ref_property3,
+                     ref_return_word, ref_scan_property3, unfold,
+                     unreduced_check, word_behavior, words_up_to)
 
 POSITIONAL = ("buchi_a", "fin_a", "rabin", "ex3")
 
@@ -231,10 +233,148 @@ class TestIndexedMonoid:
     def test_perm_parity_7_is_positional(self):
         assert check_positional(perm_parity(7)).positional
 
+    @pytest.mark.parametrize("n, elements", [(6, 723), (7, 5043)])
+    def test_perm_parity_marked_is_positional(self, n, elements, monkeypatch):
+        built = []
+
+        class Counting(PriorityMonoid):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(len(self.codes))
+
+        monkeypatch.setattr(positionality, "PriorityMonoid", Counting)
+        # no state is bisimilar to another, so the whole monoid is closed
+        assert check_positional(perm_parity_marked(n)).positional
+        assert built == [elements]
+
     def test_cap_still_applies(self, monkeypatch):
         monkeypatch.setattr(positionality, "MONOID_CAP", 3)
         with pytest.raises(MonoidTooLarge):
             check_positional(load_dpa("w2"))
+
+
+def _verdict(v: PositionalityVerdict):
+    return (v.positional, v.failed_property,
+            v.witness and v.witness.as_dict())
+
+
+class TestQuotient:
+    """check_positional decides on the bisimulation quotient of the
+    reachable states and spells witnesses on the input, against the
+    three checks run on the input alone."""
+
+    @pytest.mark.parametrize("name", DPA_NAMES)
+    def test_fixtures_are_minimal_and_match_unreduced(self, name):
+        a = load_dpa(name)
+        assert positionality._quotient(a, sorted(reachable_states(a))) is None
+        assert _verdict(check_positional(a)) == _verdict(unreduced_check(a))
+
+    def test_random_draws_and_unfoldings_match_unreduced(self):
+        rng = random.Random(29)
+        reduced = refuted = 0
+        for _ in range(3000):
+            a = random_dpa(rng, max_states=5, max_priority=6)
+            b = unfold(a, 2, rng)
+            got, unfolded = check_positional(a), check_positional(b)
+            assert _verdict(got) == _verdict(unreduced_check(a))
+            assert _verdict(unfolded) == _verdict(unreduced_check(b))
+            assert unfolded[:2] == got[:2]
+            reduced += positionality._quotient(
+                a, sorted(reachable_states(a))) is not None
+            refuted += not got.positional
+        # draws with unreachable or bisimilar states, and both verdicts,
+        # occur often enough for the comparison to bite
+        assert reduced > 500 and 1000 < refuted < 2000
+
+    @pytest.mark.parametrize("family, n", [(perm_parity, 3),
+                                           (perm_parity, 8),
+                                           (counter_buchi, 2),
+                                           (counter_buchi, 512)])
+    def test_families_collapse_to_one_state(self, family, n):
+        a = family(n)
+        quotient, block = positionality._quotient(a, list(range(n)))
+        assert quotient.n == 1 and block == dict.fromkeys(range(n), 0)
+
+    def test_member_from_a_state_is_member_from_its_block(self):
+        rng = random.Random(30)
+        compared = 0
+        for _ in range(300):
+            a = unfold(random_dpa(rng, max_states=4, max_priority=6),
+                       rng.randint(2, 3), rng)
+            states = sorted(reachable_states(a))
+            quotient, block = positionality._quotient(a, states)
+            for w in random_lassos(a.alphabet, 5, rng.randrange(1 << 30)):
+                for p in states:
+                    assert (member_from(a, p, w)
+                            == member_from(quotient, block[p], w))
+                    compared += 1
+        assert compared > 5000
+
+    def test_reducible_positive_builds_one_monoid(self, monkeypatch):
+        built = []
+
+        class Counting(PriorityMonoid):
+            def __init__(self, a):
+                built.append(a.n)
+                super().__init__(a)
+
+        monkeypatch.setattr(positionality, "PriorityMonoid", Counting)
+        assert check_positional(perm_parity(5)).positional
+        assert built == [1]
+
+    def test_reducible_property3_negative_sweeps_only_the_quotient(
+            self, monkeypatch):
+        sweeps = []
+        sweep = cycles._accepting_components
+
+        def counting(g):
+            sweeps.append(len(g.nodes))
+            return sweep(g)
+
+        monkeypatch.setattr(cycles, "_accepting_components", counting)
+        a = unfold(load_dpa("w2"), 2, random.Random(0))
+        assert len(reachable_states(a)) == 4
+        verdict = check_positional(a)
+        assert verdict.failed_property == 3
+        # the 2-state quotient's 4 pairs, none of the input's 16
+        assert sweeps == [4]
+        monkeypatch.undo()
+        assert _verdict(verdict) == _verdict(unreduced_check(a))
+
+    @staticmethod
+    def chain(m):
+        """States 0 to m - 1 in a row on letter a, priority 1, then state
+        m - 1 and its twin m swap with priority 0: refinement tells one
+        more state apart per round, m rounds of m + 1 states."""
+        delta = [{"a": (q + 1, 1)} for q in range(m - 1)]
+        delta += [{"a": (m, 0)}, {"a": (m - 1, 0)}]
+        return posit.Dpa(posit.Alphabet("a"), [str(q) for q in range(m + 1)],
+                         0, delta)
+
+    def test_refinement_is_bounded_by_the_residual_cap(self, monkeypatch):
+        a = self.chain(10)
+        # the rounds key 110 states; the quotient has 100 pairs, a 121
+        monkeypatch.setattr(automata, "RESIDUAL_CAP", 110)
+        assert check_positional(a).positional
+        monkeypatch.setattr(automata, "RESIDUAL_CAP", 109)
+        with pytest.raises(ResidualGraphTooLarge,
+                           match="^residual graph exceeds 109 nodes$"):
+            check_positional(a)
+
+    def test_positive_past_the_input_monoid_cap(self, monkeypatch):
+        monkeypatch.setattr(positionality, "MONOID_CAP", 3)
+        # the one-state quotient's monoid holds a, b and c
+        assert check_positional(perm_parity(5)).positional
+        with pytest.raises(MonoidTooLarge):
+            check_property3(perm_parity(5))
+
+    def test_quotient_and_input_disagreeing_is_an_error(self, monkeypatch):
+        # w2 fails property 3, which perm_parity(5) passes
+        monkeypatch.setattr(positionality, "_quotient",
+                            lambda a, states: (load_dpa("w2"), None))
+        with pytest.raises(AssertionError, match=r"^the quotient of "
+                           r"Dpa\(5 states over 'abc'\) fails property 3$"):
+            check_positional(perm_parity(5))
 
 
 class TestProperty3Closure:
