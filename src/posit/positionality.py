@@ -8,15 +8,14 @@ witness over lasso words:
 3. if u (v v')^w is accepted then u v^w or u v'^w is.
 
 All three hold iff the language is positional for the protagonist.
-Properties 1 and 2 read residual inclusion off one sweep of the
-residual graph, and take their witness lassos from `residual_included`,
-as `posit include` does.  Properties 2 and 3 work on the transition monoid
-enriched with minimum priorities (`PriorityMonoid`), so they quantify
-over finitely many monoid elements instead of all words.
-`check_positional` computes each of these once and hands it to every
-check that reads it.  The properties are about words, so it decides on
-the quotient of the reachable states under bisimulation, and spells a
-witness on the input automaton only.
+They are about words, so every check decides on the quotient of the
+reachable states under bisimulation and lifts its witness to the input
+(`_Facts`).  Properties 1 and 2 read residual inclusion off one sweep
+of the quotient's residual graph, and take their witness lassos from
+`residual_included` on the input, as `posit include` does.  Properties
+2 and 3 work on the quotient's transition monoid enriched with minimum
+priorities (`PriorityMonoid`), so they quantify over finitely many
+monoid elements instead of all words.
 
 Property 3 holds iff each R_p, the elements whose omega-power p rejects,
 is closed under product.  That is R_p.g inside R_p for each g of a set G
@@ -27,11 +26,11 @@ is built walking R_p, so pairs are scanned only to spell a witness.
 import random
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, islice, product as iproduct
+from itertools import combinations, product as iproduct
 
 from . import automata
-from .automata import (Dpa, _lasso_mask, member, reachable_states,
-                       residual_graph, residual_included)
+from .automata import (Dpa, _after, _lasso_mask, member,
+                       reachable_states, residual_graph, residual_included)
 from .cycles import _walk, nodes_reaching_accepting_cycle
 from .errors import (InvalidWitness, MonoidTooLarge, PreconditionViolated,
                      WitnessRecheckFailed)
@@ -220,54 +219,67 @@ def _recheck(a: Dpa, witness, accepted, rejected) -> None:
 
 class _Facts:
     """What the three property checks share, each computed at most once:
-    the access words of the reachable states and those states in order;
-    on first use, the set of pairs (p, q) of them such that L(p) is not
-    included in L(q), read off one sweep of the residual graph, which is
-    not kept, and the priority monoid."""
+    the input's access words and reachable states in order, its quotient,
+    each state's block and `least`, each block's least state in block
+    order; on first use, on the quotient, the block non-inclusions and
+    the priority monoid.  A witness lifts to the input: a state's
+    residual language is its block's, and monoid elements are numbered
+    in shortlex order of their witness words, so the first element
+    passing a test of a block is the same word on either automaton."""
 
     def __init__(self, a: Dpa):
         self.a = a
         self.access = reachable_states(a)
         self.states = sorted(self.access)
+        self.quotient, self.block = _quotient(a, self.states)
+        self.least = {}
+        for p in self.states:
+            self.least.setdefault(self.block[p], p)
 
     @cached_property
     def residuals(self) -> set:
-        """The pairs (p, q) with L(p) not included in L(q), each as its
-        residual graph node p·n + q."""
+        """The block pairs (b, c) with L(b) not included in L(c), each as
+        its residual graph node b·m + c, m the quotient's state count."""
         return nodes_reaching_accepting_cycle(
-            residual_graph(self.a, iproduct(self.states, repeat=2)))
+            residual_graph(self.quotient, iproduct(self.least, repeat=2)))
 
     @cached_property
     def monoid(self) -> PriorityMonoid:
-        return PriorityMonoid(self.a)
+        return PriorityMonoid(self.quotient)
 
 
-def _property1(facts: _Facts, spell=True) -> PropertyReport:
-    a, access, states = facts.a, facts.access, facts.states
-    bad, n = facts.residuals, a.n
+def _lifted(a: Dpa, number: int, p: int, q: int) -> LassoWord:
+    """A lasso accepted from p and rejected from q, which the quotient
+    says exists.  Its absence raises rather than asserts, so a wrong
+    quotient is caught under python -O too."""
+    lasso = residual_included(a, p, q)
+    if lasso is None:
+        raise AssertionError(
+            "the quotient of %r fails property %d, but L(%s) is included "
+            "in L(%s)" % (a, number, a.names[p], a.names[q]))
+    return lasso
+
+
+def _property1(facts: _Facts) -> PropertyReport:
+    a, access, block = facts.a, facts.access, facts.block
+    bad, m = facts.residuals, facts.quotient.n
+    pairs = {divmod(x, m) for x in bad if x % m * m + x // m in bad}
+    if not pairs:       # decided on blocks, before any input pair
+        return PropertyReport(True)
+    states = facts.states
     failing = [(p, q) for i, p in enumerate(states) for q in states[i + 1:]
-               if p * n + q in bad and q * n + p in bad]
-    if not failing or not spell:
-        return PropertyReport(not failing)
+               if (block[p], block[q]) in pairs]
     # Prefer a pair whose access words are both nonempty so the witness
     # can be realised as a game gadget; fall back to the first pair.
     ret = _return_word(a, access)
-
-    def u_of(state):
-        u = access[state]
-        if not u and ret is not None:
-            return ret
-        return u
-
     for p, q in failing:
-        if u_of(p) and u_of(q):
-            u, up = u_of(p), u_of(q)
+        u, up = access[p] or ret, access[q] or ret
+        if u and up:
             break
     else:
         p, q = failing[0]
         u, up = access[p], access[q]
-    chosen = Witness1(u, up, residual_included(a, p, q),
-                      residual_included(a, q, p))
+    chosen = Witness1(u, up, _lifted(a, 1, p, q), _lifted(a, 1, q, p))
     _recheck(a, chosen, accepted=(prepend(chosen.u, chosen.w),
                                   prepend(chosen.up, chosen.wp)),
              rejected=(prepend(chosen.u, chosen.wp),
@@ -275,22 +287,18 @@ def _property1(facts: _Facts, spell=True) -> PropertyReport:
     return PropertyReport(False, chosen)
 
 
-def _property2(facts: _Facts, spell=True) -> PropertyReport:
-    a, access, monoid = facts.a, facts.access, facts.monoid
-    bad, n = facts.residuals, a.n
-    ends = {node % n for node in bad}   # only these p can fail
-    for p in filter(ends.__contains__, facts.states):
-        bit = 1 << p
+def _property2(facts: _Facts) -> PropertyReport:
+    a, monoid = facts.a, facts.monoid
+    bad, m = facts.residuals, facts.quotient.n
+    ends = {node % m for node in bad}   # only these blocks can fail
+    for b in filter(ends.__contains__, facts.least):
+        bit = 1 << b
         for i, mask in enumerate(monoid.accepting):
-            if mask & bit:
+            if mask & bit or monoid.target(i, b) * m + b not in bad:
                 continue
-            q = monoid.target(i, p)
-            if q * n + p not in bad:
-                continue
-            if not spell:
-                return PropertyReport(False)
-            found = Witness2(access[p], monoid.witness(i),
-                             residual_included(a, q, p))
+            p, v = facts.least[b], monoid.witness(i)
+            found = Witness2(facts.access[p], v,
+                             _lifted(a, 2, _after(a, p, v), p))
             _recheck(a, found, accepted=(prepend(found.u + found.v, found.w),),
                      rejected=(LassoWord(found.u, found.v),
                                prepend(found.u, found.w)))
@@ -298,7 +306,7 @@ def _property2(facts: _Facts, spell=True) -> PropertyReport:
     return PropertyReport(True)
 
 
-def _first_unclosed(monoid: PriorityMonoid, states: list):
+def _first_unclosed(monoid: PriorityMonoid, states):
     """The first state p of `states` whose R_p is not closed, or None.
 
     R_p is walked in monoid order; each element not in S, the semigroup
@@ -366,22 +374,24 @@ def _first_accepted_product(monoid: PriorityMonoid, p: int):
                 return i, j
 
 
-def _property3(facts: _Facts, spell=True) -> PropertyReport:
-    """Property 3 fails from a reachable p iff R_p, the elements whose
-    omega-power p rejects, holds i and j with i.j outside it.  Each
-    element of R_p is a generator of `_first_unclosed` or made by earlier
-    ones, so if every x.g, x in R_p and g a generator, stays in R_p, so
-    does every x.y = x.g1...gk, a column at a time: R_p is closed.  That
-    costs |R_p| (|G_p| + witness lengths of G_p) lookups, not |R_p| |M|.
-    Only the least unclosed p is scanned pair by pair, for the first
-    (i, j): the witness a scan of every (p, i, j) would report.
+def _property3(facts: _Facts) -> PropertyReport:
+    """Property 3 fails from a block b iff R_b, the elements whose
+    omega-power b rejects, holds i and j with i.j outside it.  Each
+    element of R_b is a generator of `_first_unclosed` or made by earlier
+    ones, so if every x.g, x in R_b and g a generator, stays in R_b, so
+    does every x.y = x.g1...gk, a column at a time: R_b is closed.  That
+    costs |R_b| (|G_b| + witness lengths of G_b) lookups, not |R_b| |M|.
+    Only the first unclosed block is scanned pair by pair, for the first
+    (i, j): the witness a scan of every (p, i, j) on the input would
+    report, with u the access word of the block's least state.
     """
-    a, access, monoid = facts.a, facts.access, facts.monoid
-    p = _first_unclosed(monoid, facts.states)
-    if p is None or not spell:
-        return PropertyReport(p is None)
-    i, j = _first_accepted_product(monoid, p)
-    found = Witness3(access[p], monoid.witness(i), monoid.witness(j))
+    a, monoid = facts.a, facts.monoid
+    b = _first_unclosed(monoid, facts.least)
+    if b is None:
+        return PropertyReport(True)
+    i, j = _first_accepted_product(monoid, b)
+    found = Witness3(facts.access[facts.least[b]], monoid.witness(i),
+                     monoid.witness(j))
     _recheck(a, found, accepted=(LassoWord(found.u, found.v + found.vp),),
              rejected=(LassoWord(found.u, found.v),
                        LassoWord(found.u, found.vp)))
@@ -391,8 +401,8 @@ def _property3(facts: _Facts, spell=True) -> PropertyReport:
 def check_property1(a: Dpa) -> PropertyReport:
     """Residual languages must be totally preordered by inclusion.
 
-    One sweep of the residual graph gives every non-inclusion at once;
-    lassos are extracted only for the reported pair.
+    One sweep of the quotient's residual graph gives every non-inclusion
+    at once; lassos are extracted only for the reported pair.
     """
     return _property1(_Facts(a))
 
@@ -409,14 +419,13 @@ def check_property3(a: Dpa) -> PropertyReport:
 
 def _quotient(a: Dpa, states: list):
     """The quotient of the reachable `states` under bisimulation, and
-    each state's block, numbered in `states` order; None if every state
-    of `a` is reachable and alone in its block, or once the rounds key
-    more than RESIDUAL_CAP states, at most |states|^2 as in the residual
-    graph.  Moore's refinement: the first round keys every state by its
-    priority per letter, each later one by its block and its target's
-    block per letter, until the block count stops growing."""
-    if a.n == 1:
-        return None
+    each state's block, numbered in `states` order.  `a` itself, each
+    state its own block, if every state of `a` is reachable and alone in
+    its block, or once the rounds key more than RESIDUAL_CAP states, at
+    most |states|^2 as in the residual graph.  Moore's refinement: the
+    first round keys every state by its priority per letter, each later
+    one by its block and its target's block per letter, until the block
+    count stops growing."""
     letters, r = a.alphabet.letters, len(states)
     rows = [[a.delta[p][c] for c in letters] for p in states]
     keys, count, keyed = [tuple([pri for _, pri in row]) for row in rows], 0, r
@@ -427,11 +436,11 @@ def _quotient(a: Dpa, states: list):
             break
         count, keyed = len(ids), keyed + r
         if keyed > automata.RESIDUAL_CAP:
-            return None
+            return a, dict(zip(states, states))
         keys = [(block[p], *[block[t] for t, _ in row])
                 for p, row in zip(states, rows)]
-    if len(ids) == a.n:
-        return None
+    if len(ids) == a.n:     # states is range(n), each its own block
+        return a, block
     rows = {block[p]: row for p, row in zip(states, rows)}.values()
     return Dpa(a.alphabet, map(str, range(len(ids))), block[a.initial],
                [{c: (block[t], pri) for c, (t, pri) in zip(letters, row)}
@@ -444,24 +453,12 @@ def check_positional(a: Dpa) -> PositionalityVerdict:
     The three checks share one `_Facts`: properties 1 and 2 read the
     same residual sweep, properties 2 and 3 the same priority monoid,
     which is generated only once property 1 holds.
-
-    When `_quotient` shrinks `a`, the checks only decide on the
-    quotient, and the first that fails, if any, spells its witness on `a`.
     """
-    checks = ((1, _property1), (2, _property2), (3, _property3))
     facts = _Facts(a)
-    reduced = _quotient(a, facts.states)
-    if reduced is not None:
-        quotient = _Facts(reduced[0])
-        checks = list(islice((c for c in checks
-                              if not c[1](quotient, spell=False).passed), 1))
-    for number, check in checks:
+    for number, check in enumerate((_property1, _property2, _property3), 1):
         report = check(facts)
         if not report.passed:
             return PositionalityVerdict(False, number, report.witness)
-        if reduced is not None:
-            raise AssertionError("the quotient of %r fails property %d"
-                                 % (a, number))
     return PositionalityVerdict(True)
 
 

@@ -12,6 +12,7 @@ import random
 from collections import deque, namedtuple
 from itertools import product
 from operator import ge
+from unittest import mock
 
 from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    InvalidPlan, LassoWord, MergeBrokeWinning, MergePlan,
@@ -21,6 +22,7 @@ from posit import (Alphabet, Comparison, Dpa, IncomparableLassos,
                    Witness3, check_property1, check_property2,
                    check_property3, prepend, reachable_states,
                    validate_strategy, verify_strategy)
+from posit import positionality
 from posit.automata import (MAX_PRIORITY, RESERVED, _number,
                             _one_move_step, _state_names)
 from posit.cycles import _walk
@@ -940,12 +942,15 @@ def unfold(a: Dpa, k: int, rng) -> Dpa:
 
 def unreduced_check(a: Dpa) -> PositionalityVerdict:
     """The decision of the three property checks in turn, each on `a`
-    itself, with no quotient."""
-    for number, check in enumerate((check_property1, check_property2,
-                                    check_property3), 1):
-        report = check(a)
-        if not report.passed:
-            return PositionalityVerdict(False, number, report.witness)
+    itself: `positionality._quotient` is replaced by the partition of the
+    reachable states into singletons, so no state is merged."""
+    with mock.patch.object(positionality, "_quotient",
+                           lambda a, states: (a, dict(zip(states, states)))):
+        for number, check in enumerate((check_property1, check_property2,
+                                        check_property3), 1):
+            report = check(a)
+            if not report.passed:
+                return PositionalityVerdict(False, number, report.witness)
     return PositionalityVerdict(True)
 
 

@@ -189,16 +189,26 @@ class TestIndexedMonoid:
         pairs = ((check_property1, ref_property1),
                  (check_property2, ref_property2),
                  (check_property3, ref_property3))
-        refuted = [0, 0, 0]
-        for _ in range(1000):
+        refuted, unfolded = [0, 0, 0], [0, 0, 0]
+        copies = random.Random(3)
+        for draw in range(1000):
             a = random_dpa(rng)
             for k, (check, ref) in enumerate(pairs):
                 report = check(a)
                 assert report == ref(a)
                 refuted[k] += not report.passed
             assert report == ref_scan_property3(a)
+            if draw < 300:
+                # the checks decide on the quotient and lift the witness,
+                # the plain loops run on the two bisimilar copies
+                b = unfold(a, 2, copies)
+                for k, (check, ref) in enumerate(pairs):
+                    report = check(b)
+                    assert report == ref(b)
+                    unfolded[k] += not report.passed
         # both outcomes occur often enough for the comparison to bite
         assert min(refuted) > 100 and max(refuted) < 900
+        assert min(unfolded) > 30 and max(unfolded) < 270
 
     def test_one_monoid_per_check(self, monkeypatch):
         built = []
@@ -259,14 +269,16 @@ def _verdict(v: PositionalityVerdict):
 
 
 class TestQuotient:
-    """check_positional decides on the bisimulation quotient of the
-    reachable states and spells witnesses on the input, against the
-    three checks run on the input alone."""
+    """Every check decides on the bisimulation quotient of the reachable
+    states and lifts its witness to the input, against the three checks
+    run with no state merged."""
 
     @pytest.mark.parametrize("name", DPA_NAMES)
     def test_fixtures_are_minimal_and_match_unreduced(self, name):
         a = load_dpa(name)
-        assert positionality._quotient(a, sorted(reachable_states(a))) is None
+        states = sorted(reachable_states(a))
+        assert positionality._quotient(a, states) == (a, dict(zip(states,
+                                                                  states)))
         assert _verdict(check_positional(a)) == _verdict(unreduced_check(a))
 
     def test_random_draws_and_unfoldings_match_unreduced(self):
@@ -280,7 +292,7 @@ class TestQuotient:
             assert _verdict(unfolded) == _verdict(unreduced_check(b))
             assert unfolded[:2] == got[:2]
             reduced += positionality._quotient(
-                a, sorted(reachable_states(a))) is not None
+                a, sorted(reachable_states(a)))[0] is not a
             refuted += not got.positional
         # draws with unreachable or bisimilar states, and both verdicts,
         # occur often enough for the comparison to bite
@@ -322,24 +334,45 @@ class TestQuotient:
         assert check_positional(perm_parity(5)).positional
         assert built == [1]
 
-    def test_reducible_property3_negative_sweeps_only_the_quotient(
-            self, monkeypatch):
-        sweeps = []
-        sweep = cycles._accepting_components
+    @pytest.mark.parametrize("name, lassos", [("res", 2), ("onea", 1),
+                                              ("w2", 0)],
+                             ids=["property1", "property2", "property3"])
+    def test_reducible_negative_sweeps_only_the_quotient(
+            self, monkeypatch, name, lassos):
+        graphs, sweeps, built = [], [], []
+        graph, sweep = automata.residual_graph, cycles._accepting_components
 
-        def counting(g):
+        def counting_graph(a, roots):
+            roots = list(roots)
+            graphs.append((a.n, len(roots)))
+            return graph(a, roots)
+
+        def counting_sweep(g):
             sweeps.append(len(g.nodes))
             return sweep(g)
 
-        monkeypatch.setattr(cycles, "_accepting_components", counting)
-        a = unfold(load_dpa("w2"), 2, random.Random(0))
-        assert len(reachable_states(a)) == 4
+        class Counting(PriorityMonoid):
+            def __init__(self, a):
+                built.append(a.n)
+                super().__init__(a)
+
+        monkeypatch.setattr(automata, "residual_graph", counting_graph)
+        monkeypatch.setattr(positionality, "residual_graph", counting_graph)
+        monkeypatch.setattr(cycles, "_accepting_components", counting_sweep)
+        monkeypatch.setattr(positionality, "PriorityMonoid", Counting)
+        a = unfold(load_dpa(name), 2, random.Random(0))
+        r, m = len(reachable_states(a)), load_dpa(name).n
         verdict = check_positional(a)
-        assert verdict.failed_property == 3
-        # the 2-state quotient's 4 pairs, none of the input's 16
-        assert sweeps == [4]
+        # one sweep of the quotient's m^2 pairs, then one one-pair graph
+        # on the input per lasso of the witness; property 1 fails before
+        # the monoid is needed, and 2 and 3 build the quotient's alone
+        assert m < r and graphs == [(m, m * m)] + [(a.n, 1)] * lassos
+        assert len(sweeps) == len(graphs) and sweeps[0] == m * m
+        assert max(sweeps[1:], default=0) < r * r
+        assert built == ([] if name == "res" else [m])
         monkeypatch.undo()
         assert _verdict(verdict) == _verdict(unreduced_check(a))
+        assert verdict.failed_property == EXPECTED[name][0]
 
     @staticmethod
     def chain(m):
@@ -362,19 +395,53 @@ class TestQuotient:
             check_positional(a)
 
     def test_positive_past_the_input_monoid_cap(self, monkeypatch):
+        a = unfold(load_dpa("w2"), 2, random.Random(0))
+        expected = unreduced_check(a)
         monkeypatch.setattr(positionality, "MONOID_CAP", 3)
         # the one-state quotient's monoid holds a, b and c
         assert check_positional(perm_parity(5)).positional
+        # w2's monoid has 8 elements, that of its unfolding 25
+        monkeypatch.setattr(positionality, "MONOID_CAP", 8)
         with pytest.raises(MonoidTooLarge):
-            check_property3(perm_parity(5))
+            unreduced_check(a)
+        assert check_property3(a) == (False, expected.witness)
+        assert _verdict(check_positional(a)) == _verdict(expected)
+        assert expected.failed_property == 3
+
+    @staticmethod
+    def merged(a, block, reps):
+        """A quotient of `a` by `block` whose block b has the row of state
+        reps[b], whether or not the states of a block are bisimilar."""
+        return posit.Dpa(a.alphabet, [str(b) for b in range(len(reps))],
+                         block[a.initial],
+                         [{c: (block[t], pri) for c, (t, pri)
+                           in a.delta[r].items()} for r in reps])
 
     def test_quotient_and_input_disagreeing_is_an_error(self, monkeypatch):
-        # w2 fails property 3, which perm_parity(5) passes
-        monkeypatch.setattr(positionality, "_quotient",
-                            lambda a, states: (load_dpa("w2"), None))
-        with pytest.raises(AssertionError, match=r"^the quotient of "
-                           r"Dpa\(5 states over 'abc'\) fails property 3$"):
-            check_positional(perm_parity(5))
+        block = {0: 0, 1: 1, 2: 0}
+        for a, reps, error, message in (
+                # states 0 and 2 merged with the row of 2: the quotient
+                # fails property 1 on blocks 0 and 1, but L(0) is inside
+                # L(1) on the input, so no lasso lifts
+                (posit.Dpa(posit.Alphabet("ab"), "012", 0,
+                           [{"a": (1, 2), "b": (2, 2)},
+                            {"a": (2, 3), "b": (0, 4)},
+                            {"a": (1, 3), "b": (1, 0)}]),
+                 (2, 1), AssertionError,
+                 r"^the quotient of Dpa\(3 states over 'ab'\) fails "
+                 r"property 1, but L\(0\) is included in L\(1\)$"),
+                # ex3's states 0 and 2 merged with the row of 0: the
+                # quotient's property 3 witness fails its re-check
+                (load_dpa("ex3"), (0, 1), WitnessRecheckFailed,
+                 r"^Witness3\(u='', v='ab', vp='ba'\): membership of "
+                 r":abba is False, the witness needs True$")):
+            assert check_positional(a).positional
+            monkeypatch.setattr(positionality, "_quotient",
+                                lambda a, states: (self.merged(a, block, reps),
+                                                   block))
+            with pytest.raises(error, match=message):
+                check_positional(a)
+            monkeypatch.undo()
 
 
 class TestProperty3Closure:
