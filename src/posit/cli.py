@@ -118,10 +118,10 @@ def cmd_reduce(args) -> int:
               % verdict.failed_property)
         return 1
     solution = solve_game(game)
-    region = sorted(solution.winning_region)
-    print("winning region: " + (" ".join(region) if region else "(empty)"))
     reduced = reduce_to_positional(game, solution.strategy,
                                    solution.winning_region)
+    region = sorted(solution.winning_region)
+    print("winning region: " + (" ".join(region) if region else "(empty)"))
     by_vertex = {reduced.sigma[st]: st for st in reduced.states}
     for v in region:
         letter, dst = reduced.out_edges(by_vertex[v])[0]

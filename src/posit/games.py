@@ -14,7 +14,9 @@ node (v, q) as rank(v)·n + q, and stored as flat integer lists.
 Zielonka's algorithm solves it on node numbers (`_zielonka` over its
 edge-split form, which `ParityGame` also stores), each region a
 `bytearray` mask over the split game's nodes that an attractor copies
-and clears, so the copy is the region left for the next level.
+and clears, so the copy is the region left for the next level.  Both
+players' moves go into one table over the product nodes, so `_solve`
+yields a winning edge for every product node its owner wins.
 `solve_game`, the only entry to the solver, builds the play of the
 winning choice over the same numbers, naming memory states only at the
 end.  The second is a strategy's plays with the complement automaton,
@@ -202,11 +204,12 @@ def product_game(g: Game) -> ParityGame:
     return ParityGame(names, n, owners, offsets, target, priority, letter)
 
 
-def _attract(pg: ParityGame, region: bytearray, target, player: str):
+def _attract(pg: ParityGame, region: bytearray, target, player: str,
+             choice: list):
     """Player's attractor to `target` (sorted) inside `region`, a mask
     over the split game's nodes: (`region` less the attractor, as a new
-    mask; the attracted nodes; the chosen edge node of each newly
-    attracted Eve product node).
+    mask; the attracted nodes).  A product node attracted through edge
+    node e gets choice[i] = e - N, its edge index, whoever owns it.
 
     This is the breadth-first attractor of the split game from queue
     `target`.  There a popped product node attracts edge nodes and a
@@ -225,7 +228,6 @@ def _attract(pg: ParityGame, region: bytearray, target, player: str):
         rest[v] = 0
     edges_won = []
     attract, push = edges_won.append, queue.append
-    choice = {}
     # an opponent node's region edges not yet attracted, counted when
     # the first is; 0 before that, as the count never stays at 0
     counts = [0] * nodes
@@ -238,25 +240,26 @@ def _attract(pg: ParityGame, region: bytearray, target, player: str):
             i = src[e]
             if not rest[i]:
                 continue
-            if owners[i] == player:
-                if player == EVE:
-                    choice[i] = e
-            else:
+            if owners[i] != player:
                 left = counts[i] or region.count(1, nodes + offsets[i],
                                                  nodes + offsets[i + 1])
                 counts[i] = left = left - 1
                 if left:
                     continue
+            choice[i] = e - nodes
             rest[i] = 0
             push(i)
     queue += edges_won
-    return rest, queue, choice
+    return rest, queue
 
 
-def _zielonka(pg: ParityGame, region: bytearray, size: int):
-    """(eve nodes, adam nodes, chosen edge node per winning Eve product
-    node) on `region`, a mask over the split game's nodes that holds
-    `size` of them.  The two node lists partition the region.
+def _zielonka(pg: ParityGame, region: bytearray, size: int, choice: list):
+    """(eve nodes, adam nodes) on `region`, a mask over the split game's
+    nodes that holds `size` of them.  The two node lists partition the
+    region, and each product node its owner wins ends with choice[i] an
+    edge it wins by: an attractor and the recursion on what it leaves
+    write disjoint nodes, and a node is written again whenever its
+    region is decided again.
 
     Every product node has an edge, and each region here is the whole
     game or a region less an attractor, a trap in which every node keeps
@@ -270,45 +273,39 @@ def _zielonka(pg: ParityGame, region: bytearray, size: int):
     most the number of distinct priorities, which `Dpa` bounds; the
     opponent's dominions are peeled off in a loop.
     """
-    won = {EVE: [], ADAM: []}
-    choice = {}
+    won = [], []  # Eve's nodes, Adam's nodes: indexed by priority parity
     while size:
         for d in pg.priorities:
             at = pg.nodes_at[d]
             target = list(compress(at, map(region.__getitem__, at)))
             if target:
                 break
-        player, other = (EVE, ADAM) if d % 2 == 0 else (ADAM, EVE)
-        rest, area, achoice = _attract(pg, region, target, player)
-        we, wa, inner = _zielonka(pg, rest, size - len(area))
-        wopp = wa if player == EVE else we
+        mine = d % 2
+        rest, area = _attract(pg, region, target, (EVE, ADAM)[mine], choice)
+        wopp = _zielonka(pg, rest, size - len(area), choice)[1 - mine]
         if not wopp:
-            choice.update(inner)
-            choice.update(achoice)
-            won[player] += compress(range(len(region)), region)
+            won[mine].extend(compress(range(len(region)), region))
             break
-        region, barrier, bchoice = _attract(pg, region, sorted(wopp), other)
-        if other == EVE:  # inner chooses only in its Eve region, wopp
-            choice.update(inner)
-        choice.update(bchoice)
-        won[other] += barrier
+        region, barrier = _attract(pg, region, sorted(wopp),
+                                   (EVE, ADAM)[1 - mine], choice)
+        won[1 - mine].extend(barrier)
         size -= len(barrier)
-    return won[EVE], won[ADAM], choice
+    return won
 
 
 def _solve(pg: ParityGame):
-    """(Eve's winning product nodes, the edge index each Eve node of
-    them plays).  Raises unless every split-game node is in exactly one
-    winning region."""
+    """(Eve's winning product nodes, the edge index of a winning move
+    for every product node its owner wins).  Raises unless every
+    split-game node is in exactly one winning region."""
     total = pg.nodes + len(pg.target)
-    eve, adam, choice = _zielonka(pg, bytearray(b"\1") * total, total)
+    choice = [-1] * pg.nodes
+    eve, adam = _zielonka(pg, bytearray(b"\1") * total, total, choice)
     seen = bytearray(total)
     for v in chain(eve, adam):
         seen[v] = 1
     if len(eve) + len(adam) != total or 0 in seen:
         raise AssertionError("winning regions do not partition the game")
-    return ({v for v in eve if v < pg.nodes},
-            {i: e - pg.nodes for i, e in choice.items()})
+    return {v for v in eve if v < pg.nodes}, choice
 
 
 class Strategy:

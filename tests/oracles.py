@@ -1158,27 +1158,26 @@ def _ref_zielonka(exp, region: set):
     return won[EVE], won[ADAM], choice
 
 
-# Winning regions and Eve's edge index per Eve node of her region, each
-# keyed by (vertex, state).
-SolveResult = namedtuple("SolveResult", "eve_region adam_region eve_choice")
+# Winning regions, Eve's edge index per Eve node of her region and
+# Adam's per Adam node of his, each keyed by (vertex, state).
+SolveResult = namedtuple("SolveResult",
+                         "eve_region adam_region eve_choice adam_choice")
 
 
 def ref_solve_parity(owners: dict, edges: dict) -> SolveResult:
     exp = _RefExpanded(owners, edges)
     eve, adam, choice = _ref_zielonka(exp, set(range(len(exp.owner))))
     assert len(eve) + len(adam) == len(exp.owner)
-    eve_region = set()
-    adam_region = set()
-    eve_choice = {}
+    regions = {EVE: set(), ADAM: set()}
+    choices = {EVE: {}, ADAM: {}}
     for i, v in enumerate(exp.orig):
-        if i in eve:
-            eve_region.add(v)
-            if exp.owner[i] == EVE:
-                _vi, k = exp.edge_info[choice[i]]
-                eve_choice[v] = k
-        else:
-            adam_region.add(v)
-    return SolveResult(eve_region, adam_region, eve_choice)
+        winner = EVE if i in eve else ADAM
+        regions[winner].add(v)
+        if exp.owner[i] == winner:
+            _vi, k = exp.edge_info[choice[i]]
+            choices[winner][v] = k
+    return SolveResult(regions[EVE], regions[ADAM], choices[EVE],
+                       choices[ADAM])
 
 
 # ---------------------------------------------------------------------------

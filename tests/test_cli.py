@@ -145,8 +145,9 @@ class TestSolveReduce:
                          "edge u a e\n"
                          "edge e a e\n"
                          "edge e b u\n", encoding="utf-8")
-        rc, _, err = run(capsys, "reduce", fixture_path("buchi_a"), str(arena))
+        rc, out, err = run(capsys, "reduce", fixture_path("buchi_a"), str(arena))
         assert rc == 1
+        assert out == ""
         assert err.startswith("error:")
         assert "Eve-only" in err
 

@@ -124,14 +124,18 @@ def node(pg, i):
 
 def solve_keyed(pg):
     """`games._solve` on `pg`, keyed by (vertex, state) like the
-    reference: Eve's region, Adam's region, and the edge index of each
-    Eve node in Eve's region."""
+    reference: Eve's region, Adam's region, the edge index of each Eve
+    node in Eve's region and that of each Adam node in Adam's."""
     eve, choice = games._solve(pg)
+    adam = [i for i in range(pg.nodes) if i not in eve]
+
+    def chosen(region, player):
+        return {node(pg, i): choice[i] - pg.offsets[i] for i in region
+                if pg.owners[i] == player}
+
     return oracles.SolveResult(
-        {node(pg, i) for i in eve},
-        {node(pg, i) for i in range(pg.nodes) if i not in eve},
-        {node(pg, i): choice[i] - pg.offsets[i] for i in eve
-         if pg.owners[i] == EVE})
+        {node(pg, i) for i in eve}, {node(pg, i) for i in adam},
+        chosen(eve, EVE), chosen(adam, ADAM))
 
 
 def random_games():
@@ -180,8 +184,8 @@ class TestSolveParity:
 
 class TestSolveMatchesReference:
     """Zielonka on the numbered product against the reference, which
-    splits a tuple-keyed product into Python objects: regions and Eve's
-    choices must be equal."""
+    splits a tuple-keyed product into Python objects: regions and both
+    players' choices must be equal."""
 
     @staticmethod
     def solved(game):
@@ -190,6 +194,7 @@ class TestSolveMatchesReference:
         assert got.eve_region == ref.eve_region
         assert got.adam_region == ref.adam_region
         assert got.eve_choice == ref.eve_choice
+        assert got.adam_choice == ref.adam_choice
         return got
 
     def test_random_games(self):
@@ -219,11 +224,11 @@ class TestSolveMatchesReference:
         zielonka = games._zielonka
         calls = Counter()
 
-        def recording(pg, region, size):
+        def recording(pg, region, size, choice):
             assert size == region.count(1)
             calls["nonempty" if size else "empty"] += 1
             assert not size or 1 in region[pg.nodes:]
-            return zielonka(pg, region, size)
+            return zielonka(pg, region, size, choice)
 
         monkeypatch.setattr(games, "_zielonka", recording)
         for game in chain(random_games(), fixture_games()):
@@ -235,19 +240,46 @@ class TestSolveMatchesReference:
         listed twice and another missing must raise."""
         zielonka = games._zielonka
 
-        def broken(pg, region, size):
-            eve, adam, choice = zielonka(pg, region, size)
+        def broken(pg, region, size, choice):
+            eve, adam = zielonka(pg, region, size, choice)
             if size == pg.nodes + len(pg.target):  # the outermost call
                 listed = eve + adam
                 twice, missing = listed[0], listed[-1]
                 eve = [v for v in eve if v != missing] + [twice]
                 adam = [v for v in adam if v != missing]
-            return eve, adam, choice
+            return eve, adam
 
         monkeypatch.setattr(games, "_zielonka", broken)
         pg = product_game(Game(load_arena("w2game"), load_dpa("w2")))
         with pytest.raises(AssertionError, match="do not partition"):
             games._solve(pg)
+
+
+class TestAdamWinsHisRegion:
+    """Adam's choices, fixed on his region with every Eve edge kept,
+    keep each play in his region, and no cycle there has an even least
+    priority: the solver's Adam entries are a winning strategy."""
+
+    def test_random_and_fixture_games(self):
+        chosen = 0
+        for game in chain(random_games(), fixture_games()):
+            pg = product_game(game)
+            eve, choice = games._solve(pg)
+            adam = [i for i in range(pg.nodes) if i not in eve]
+
+            def moves(i):
+                edges = range(pg.offsets[i], pg.offsets[i + 1])
+                if pg.owners[i] == ADAM:
+                    assert choice[i] in edges
+                    edges = [choice[i]]
+                return [(pg.letter[j], pg.target[j], (pg.priority[j],))
+                        for j in edges]
+
+            plays = reachable_graph(adam, moves)
+            assert eve.isdisjoint(plays.nodes)
+            assert not nodes_reaching_accepting_cycle(plays)
+            chosen += any(pg.owners[i] == ADAM for i in adam)
+        assert chosen > 600
 
 
 def self_loops(k):
