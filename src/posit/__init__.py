@@ -7,10 +7,10 @@ finite-memory winning strategies to positional ones when it does.
 
 from .automata import (Dpa, member, parse_dpa, reachable_states,
                        residual_graph, residual_included)
-from .errors import (AlphabetMismatch, IncomparableLassos, InvalidPlan,
-                     InvalidSetting, InvalidStrategy, InvalidWitness,
-                     MalformedLasso, MergeBrokeWinning, MonoidTooLarge,
-                     NotEveOnly, ParseError, PositError,
+from .errors import (AlphabetMismatch, GameTooLarge, IncomparableLassos,
+                     InvalidPlan, InvalidSetting, InvalidStrategy,
+                     InvalidWitness, MalformedLasso, MergeBrokeWinning,
+                     MonoidTooLarge, NotEveOnly, ParseError, PositError,
                      PreconditionViolated, ResidualGraphTooLarge,
                      SearchSpaceTooLarge, SinkVertex, TooManyPriorities,
                      UnknownLetter, WitnessRecheckFailed)
@@ -29,7 +29,7 @@ from .words import Alphabet, LassoWord, parse_lasso, prepend
 
 __all__ = [
     "ADAM", "Alphabet", "AlphabetMismatch", "Arena", "Comparison", "Dpa",
-    "EVE", "Game", "IncomparableLassos", "InvalidPlan", "InvalidSetting",
+    "EVE", "Game", "GameTooLarge", "IncomparableLassos", "InvalidPlan", "InvalidSetting",
     "InvalidStrategy", "InvalidWitness", "LassoWord", "MalformedLasso", "MergeBrokeWinning",
     "MergePlan", "MonoidTooLarge", "NotEveOnly", "ParseError", "PositError",
     "PositionalityVerdict", "PreconditionViolated", "PriorityMonoid",

@@ -33,6 +33,10 @@ class ResidualGraphTooLarge(PositError):
     """The residual graph explored more pairs than its cap, RESIDUAL_CAP."""
 
 
+class GameTooLarge(PositError):
+    """The product game would have more nodes than its cap, GAME_CAP."""
+
+
 class TooManyPriorities(PositError):
     """An automaton has more distinct priorities than the game solver's
     recursion allows."""

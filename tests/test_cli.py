@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from posit import (MergeBrokeWinning, PositError, WitnessRecheckFailed,
-                   automata, cli, member, positionality)
+                   automata, cli, games, member, positionality)
 from posit.cli import main
 from posit.fixtures import fixture_path, load_arena, load_dpa
 from posit.games import parse_arena
@@ -287,6 +287,18 @@ class TestErrors:
         monkeypatch.setattr(positionality, "MONOID_CAP", 3)
         assert run(capsys, "check", fixture_path("w2")) == (
             2, "", "error: priority monoid exceeds 3 elements\n")
+
+    def test_product_game_too_large_is_a_resource_limit(self, capsys,
+                                                        monkeypatch):
+        arena = load_arena("w2game")
+        # the split game's nodes: product nodes and edge nodes
+        nodes = (len(arena.owners) + len(arena.edges)) * load_dpa("w2").n
+        argv = ("solve", fixture_path("w2"), fixture_path("w2game"))
+        monkeypatch.setattr(games, "GAME_CAP", nodes)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(games, "GAME_CAP", nodes - 1)
+        assert run(capsys, *argv) == (
+            2, "", "error: product game exceeds %d nodes\n" % (nodes - 1))
 
     def test_residual_graph_too_large_is_a_resource_limit(self, capsys,
                                                           monkeypatch):

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -322,34 +322,17 @@ class TestQuotient:
                     compared += 1
         assert compared > 5000
 
-    def test_reducible_positive_builds_one_monoid(self, monkeypatch):
-        built = []
-
-        class Counting(PriorityMonoid):
-            def __init__(self, a):
-                built.append(a.n)
-                super().__init__(a)
-
-        monkeypatch.setattr(positionality, "PriorityMonoid", Counting)
-        assert check_positional(perm_parity(5)).positional
-        assert built == [1]
-
-    @pytest.mark.parametrize("name, lassos", [("res", 2), ("onea", 1),
-                                              ("w2", 0)],
-                             ids=["property1", "property2", "property3"])
-    def test_reducible_negative_sweeps_only_the_quotient(
-            self, monkeypatch, name, lassos):
-        graphs, sweeps, built = [], [], []
-        graph, sweep = automata.residual_graph, cycles._accepting_components
+    @staticmethod
+    def counting(monkeypatch):
+        """Record the state and root counts of every residual graph built,
+        and the state count of every PriorityMonoid."""
+        graphs, built = [], []
+        graph = automata.residual_graph
 
         def counting_graph(a, roots):
             roots = list(roots)
             graphs.append((a.n, len(roots)))
             return graph(a, roots)
-
-        def counting_sweep(g):
-            sweeps.append(len(g.nodes))
-            return sweep(g)
 
         class Counting(PriorityMonoid):
             def __init__(self, a):
@@ -358,8 +341,64 @@ class TestQuotient:
 
         monkeypatch.setattr(automata, "residual_graph", counting_graph)
         monkeypatch.setattr(positionality, "residual_graph", counting_graph)
-        monkeypatch.setattr(cycles, "_accepting_components", counting_sweep)
         monkeypatch.setattr(positionality, "PriorityMonoid", Counting)
+        return graphs, built
+
+    def test_one_block_positive_builds_no_monoid_or_residual_graph(
+            self, monkeypatch):
+        graphs, built = self.counting(monkeypatch)
+        assert check_positional(perm_parity(5)).positional
+        assert graphs == [] and built == []
+
+    def test_every_one_state_dpa_is_positional(self, monkeypatch):
+        """A one-state DPA gives each letter one priority: its language
+        is the parity condition on letters, positional on every arena.
+        The three properties on the input agree, and check_positional
+        answers without a residual graph or a monoid."""
+        rng = random.Random(32)
+        dpas = []
+        for letters in ("a", "ab", "abc"):
+            for pris in product(range(7), repeat=len(letters)):
+                a = posit.Dpa(posit.Alphabet(letters), ["0"], 0,
+                              [{c: (0, p) for c, p in zip(letters, pris)}])
+                dpas += [a, unfold(a, 2, rng)]
+        graphs, built = self.counting(monkeypatch)
+        verdicts = list(map(check_positional, dpas))
+        assert graphs == [] and built == []
+        monkeypatch.undo()
+        assert len(dpas) == 2 * (7 + 7 ** 2 + 7 ** 3)
+        for a, verdict in zip(dpas, verdicts):
+            assert verdict == unreduced_check(a) == (True, None, None)
+        # most unfoldings reach both copies of the state
+        assert sum(len(reachable_states(a)) == 2 for a in dpas) > 300
+
+    def test_property2_reads_the_monoid_only_for_a_failing_block(
+            self, monkeypatch):
+        # infinitely many a from either state, which a reads with
+        # priority 0 from one and 2 from the other: two blocks, one
+        # residual language, so no block can fail property 2
+        a = posit.parse_dpa("dpa v1\nalphabet a b\nstates 2\ninitial 0\n"
+                            "trans 0 a 1 0\ntrans 0 b 0 1\n"
+                            "trans 1 a 0 2\ntrans 1 b 1 1\n")
+        assert positionality._quotient(a, [0, 1]) == (a, {0: 0, 1: 1})
+        graphs, built = self.counting(monkeypatch)
+        assert check_property2(a).passed and built == []
+        # property 3 builds it when check_positional runs
+        assert check_positional(a).positional and built == [2]
+
+    @pytest.mark.parametrize("name, lassos", [("res", 2), ("onea", 1),
+                                              ("w2", 0)],
+                             ids=["property1", "property2", "property3"])
+    def test_reducible_negative_sweeps_only_the_quotient(
+            self, monkeypatch, name, lassos):
+        sweeps, sweep = [], cycles._accepting_components
+
+        def counting_sweep(g):
+            sweeps.append(len(g.nodes))
+            return sweep(g)
+
+        graphs, built = self.counting(monkeypatch)
+        monkeypatch.setattr(cycles, "_accepting_components", counting_sweep)
         a = unfold(load_dpa(name), 2, random.Random(0))
         r, m = len(reachable_states(a)), load_dpa(name).n
         verdict = check_positional(a)
@@ -398,7 +437,7 @@ class TestQuotient:
         a = unfold(load_dpa("w2"), 2, random.Random(0))
         expected = unreduced_check(a)
         monkeypatch.setattr(positionality, "MONOID_CAP", 3)
-        # the one-state quotient's monoid holds a, b and c
+        # the quotient has one state, so no monoid is built at all
         assert check_positional(perm_parity(5)).positional
         # w2's monoid has 8 elements, that of its unfolding 25
         monkeypatch.setattr(positionality, "MONOID_CAP", 8)
